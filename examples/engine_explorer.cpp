@@ -210,7 +210,6 @@ int main(int argc, char** argv) {
       // One traced run per engine through the serving API; the output is
       // the measured plan (rows, ns/tuple per node — api/session.h).
       for (vcq::Engine e : {vcq::Engine::kTyper, vcq::Engine::kTectorwise}) {
-        if (!vcq::EngineSupports(e, q)) continue;
         vcq::runtime::QueryOptions opt;
         opt.trace = vcq::runtime::TraceLevel::kSpans;
         std::printf("%s",
@@ -223,7 +222,6 @@ int main(int argc, char** argv) {
     std::printf("  engines (1 thread):\n");
     for (vcq::Engine e : {vcq::Engine::kTyper, vcq::Engine::kTectorwise,
                           vcq::Engine::kVolcano}) {
-      if (!vcq::EngineSupports(e, q)) continue;
       std::printf("    %-11s %8.2f ms\n", vcq::EngineName(e),
                   Time(db, e, q, st));
     }

@@ -9,12 +9,12 @@
 #include "runtime/params.h"
 
 // The single registry of the studied workload: one QueryInfo per query
-// holding its display name, workload, engine support, and parameter
-// specification (names, types, and the paper/spec default bindings).
-// TpchQueries()/SsbQueries()/EngineSupports()/QueryName() and every bench,
-// example, and test query list derive from this table — hand-rolled
-// duplicates of it are exactly what caused the engine_explorer crash PR 3
-// fixed, so don't reintroduce them.
+// holding its display name, workload, and parameter specification
+// (names, types, and the paper/spec default bindings).
+// TpchQueries()/SsbQueries()/QueryName() and every bench, example, and
+// test query list derive from this table — hand-rolled duplicates of it
+// are exactly what caused the engine_explorer crash PR 3 fixed, so don't
+// reintroduce them.
 
 namespace vcq {
 
@@ -42,10 +42,8 @@ struct QueryInfo {
   Query query;
   std::string name;
   Workload workload;
-  /// Engines implementing the query; Volcano covers TPC-H only in the
-  /// catalog (SQL-prepared queries lower onto it for both workloads) and
-  /// resolves the same named parameters as the other engines.
-  bool volcano = false;
+  /// Every engine implements every query and resolves these same named
+  /// parameters (Volcano through the query's reference SQL text).
   std::vector<ParamSpec> params;
   std::string description;
 };

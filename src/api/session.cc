@@ -16,7 +16,6 @@
 
 #include "common/check.h"
 #include "runtime/fault_injector.h"
-#include "runtime/hashmap.h"
 #include "runtime/metrics.h"
 #include "runtime/resource_governor.h"
 #include "runtime/scheduler.h"
@@ -27,11 +26,11 @@
 #include "sql/catalog.h"
 #include "sql/logical.h"
 #include "sql/optimizer.h"
+#include "sql/reference_queries.h"
 #include "sql/sql.h"
 #include "tectorwise/plan.h"
 #include "tectorwise/queries.h"
 #include "typer/queries.h"
-#include "volcano/queries.h"
 
 namespace vcq {
 
@@ -48,10 +47,6 @@ namespace {
 using TyperFn = QueryResult (*)(const Database&, const QueryOptions&,
                                 const QueryParams&,
                                 const typer::ColumnCache&);
-/// A std::function, not a raw pointer: catalog queries bind the interpreter
-/// entry points below, SQL queries bind a closure over their compiled plan.
-using VolcanoFn = std::function<QueryResult(
-    const Database&, const QueryOptions&, const QueryParams&)>;
 
 TyperFn TyperRunner(Query query) {
   switch (query) {
@@ -66,19 +61,6 @@ TyperFn TyperRunner(Query query) {
     case Query::kSsbQ41: return &typer::RunSsbQ41;
   }
   VCQ_CHECK_MSG(false, "unreachable");
-  return nullptr;
-}
-
-VolcanoFn VolcanoRunner(Query query) {
-  switch (query) {
-    case Query::kQ1: return &volcano::RunQ1;
-    case Query::kQ6: return &volcano::RunQ6;
-    case Query::kQ3: return &volcano::RunQ3;
-    case Query::kQ9: return &volcano::RunQ9;
-    case Query::kQ18: return &volcano::RunQ18;
-    default: break;
-  }
-  VCQ_CHECK_MSG(false, "Volcano does not implement this query");
   return nullptr;
 }
 
@@ -197,7 +179,6 @@ QueryInfo SqlQueryInfo(const sql::CompiledQuery& q,
   info.name = "SQL";
   info.workload = catalog.Find("lineorder") != nullptr ? Workload::kSsb
                                                        : Workload::kTpch;
-  info.volcano = true;
   info.description = q.text();
   for (const sql::ParamDecl& p : q.params()) {
     ParamSpec spec;
@@ -313,6 +294,29 @@ size_t SqlEstimatedBuildBytes(const sql::PhysicalPlan& plan) {
   return bytes;
 }
 
+/// The options stamping every prepared handle gets: the session's pool
+/// unless the caller supplied one, the session's stream, and the thread
+/// count clamped to what the pool's gang set can admit.
+QueryOptions StampSessionOptions(QueryOptions opt,
+                                 runtime::WorkerPool* session_pool,
+                                 uint64_t session_stream) {
+  if (opt.pool == nullptr) opt.pool = session_pool;
+  // The session's stream id only names a stream on the session pool's own
+  // scheduler; on a caller-supplied foreign pool it could collide with
+  // some other session's stream there, so such runs use that scheduler's
+  // default stream (a stale caller-supplied id must not leak through
+  // either).
+  opt.sched_stream = opt.pool == session_pool ? session_stream : 0;
+  // Clamp the region width to what the gang set can admit: the scheduler
+  // hands out a region's slots all-or-nothing, and the executing thread
+  // itself acts as worker 0, so a query is at most capacity + 1 wide
+  // (scheduler_threads is an explicit per-query cap below that).
+  size_t cap = opt.pool->scheduler().thread_count() + 1;
+  if (opt.scheduler_threads > 0) cap = std::min(cap, opt.scheduler_threads);
+  opt.threads = std::max<size_t>(1, std::min(opt.threads, cap));
+  return opt;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -344,12 +348,14 @@ struct PreparedQuery::Impl {
   Query query;
   QueryOptions opt;
   const QueryInfo* info;
-  /// SQL-prepared handles only: the compiled query (kept alive for the
-  /// Volcano closure and introspection) and the synthesized catalog row
+  /// True for PrepareSql handles, which own the synthesized catalog row
   /// `info` points at.
   bool is_sql = false;
-  std::shared_ptr<const sql::CompiledQuery> sql;
   QueryInfo owned_info;
+  /// The compiled SQL (CompileSql): what Volcano executes — catalog
+  /// queries compile their reference text (sql/reference_queries.h) — and
+  /// what a PrepareSql handle's Tectorwise plan was lowered from.
+  std::shared_ptr<const sql::CompiledQuery> sql;
   /// What ResetParams restores and Execute(params) layers under: the
   /// catalog's spec defaults, or empty for SQL (no declared defaults).
   QueryParams defaults;
@@ -361,8 +367,6 @@ struct PreparedQuery::Impl {
   /// Execute; later ones skip the per-run accessor derivation).
   TyperFn typer = nullptr;
   typer::ColumnCache typer_cache;
-  /// Volcano only.
-  VolcanoFn volcano = nullptr;
 
   mutable std::mutex params_mu;
   QueryParams bound;  // guarded by params_mu
@@ -391,11 +395,25 @@ struct PreparedQuery::Impl {
   mutable std::array<std::atomic<uint64_t>, kRungs> rung_runs{};
   mutable std::array<std::atomic<uint64_t>, kRungs> rung_ok{};
 
-  /// SQL-prepared handles only: the prepare-time compile-stage spans
-  /// (sql.parse/bind/optimize/lower), prepended to every traced execution
-  /// of this handle so EXPLAIN ANALYZE and Chrome exports show compile
-  /// cost in context.
-  std::shared_ptr<const runtime::QueryTrace> prepare_trace;
+  /// Handles with compiled SQL only: the prepare-time compile-stage spans
+  /// (sql.parse/bind/optimize[/lower]), prepended to every traced
+  /// execution of this handle so EXPLAIN ANALYZE and Chrome exports show
+  /// compile cost in context.
+  std::shared_ptr<runtime::QueryTrace> prepare_trace;
+
+  /// Compiles `text` against `catalog` into `sql`, recording the compile
+  /// stages into a fresh prepare_trace. Shared by Prepare (catalog Volcano)
+  /// and PrepareSql. Malformed SQL is a caller bug at this API level and
+  /// fails at prepare — never at Execute. Callers wanting a recoverable,
+  /// positioned error (shells, fuzzers) call sql::Compile themselves.
+  void CompileSql(std::shared_ptr<const sql::Catalog> catalog,
+                  std::string_view text) {
+    prepare_trace = std::make_shared<runtime::QueryTrace>();
+    sql::CompileResult compiled =
+        sql::Compile(std::move(catalog), text, {}, prepare_trace.get());
+    VCQ_CHECK_MSG(compiled.ok(), compiled.error->Format().c_str());
+    sql = std::move(compiled.query);
+  }
 
   /// Per-execution overrides of the prepared options, used by the
   /// degradation ladder (0 = keep the prepared value). They win over the
@@ -537,7 +555,7 @@ struct PreparedQuery::Impl {
         if (tweaks.vector_size != 0) run_opt.vector_size = tweaks.vector_size;
         run_opt.knobs = &choices;
         run_opt.telemetry = telemetry;
-        start_ns = runtime::JoinBuildTelemetry::NowNs();
+        start_ns = runtime::QueryTrace::NowNs();
       }
       switch (engine) {
         case Engine::kTyper:
@@ -547,7 +565,7 @@ struct PreparedQuery::Impl {
           result = tw->Run(run_opt, params);
           break;
         case Engine::kVolcano:
-          result = volcano(*db, run_opt, params);
+          result = sql->RunVolcano(run_opt, params);
           break;
       }
     } catch (...) {
@@ -575,7 +593,7 @@ struct PreparedQuery::Impl {
     // are partial and would poison both loops.
     if (tuned && run_opt.tuning == TuningMode::kLearn) {
       tuner->Observe(choices, *telemetry,
-                     runtime::JoinBuildTelemetry::NowNs() - start_ns,
+                     runtime::QueryTrace::NowNs() - start_ns,
                      work_tuples);
     }
     size_t prev = measured_peak.load(std::memory_order_relaxed);
@@ -1044,28 +1062,11 @@ double Session::weight() const {
 
 PreparedQuery Session::Prepare(Engine engine, Query query,
                                const QueryOptions& options) const {
-  VCQ_CHECK_MSG(EngineSupports(engine, query),
-                "engine does not implement this query");
   auto impl = std::make_shared<PreparedQuery::Impl>();
   impl->db = db_;
   impl->engine = engine;
   impl->query = query;
-  impl->opt = options;
-  if (impl->opt.pool == nullptr) impl->opt.pool = pool_;
-  // The session's stream id only names a stream on the session pool's own
-  // scheduler; on a caller-supplied foreign pool it could collide with
-  // some other session's stream there, so such runs use that scheduler's
-  // default stream (a stale caller-supplied id must not leak through
-  // either).
-  impl->opt.sched_stream = impl->opt.pool == pool_ ? stream_ : 0;
-  // Clamp the region width to what the gang set can admit: the scheduler
-  // hands out a region's slots all-or-nothing, and the executing thread
-  // itself acts as worker 0, so a query is at most capacity + 1 wide
-  // (scheduler_threads is an explicit per-query cap below that).
-  size_t cap = impl->opt.pool->scheduler().thread_count() + 1;
-  if (impl->opt.scheduler_threads > 0)
-    cap = std::min(cap, impl->opt.scheduler_threads);
-  impl->opt.threads = std::max<size_t>(1, std::min(impl->opt.threads, cap));
+  impl->opt = StampSessionOptions(options, pool_, stream_);
   impl->info = &CatalogEntry(query);
   impl->defaults = DefaultParams(query);
   impl->bound = impl->defaults;
@@ -1079,7 +1080,15 @@ PreparedQuery Session::Prepare(Engine engine, Query query,
       // Fail query/catalog drift here, not at the first Execute.
       ValidatePlanParams(impl->tw->plan(), *impl->info);
       break;
-    case Engine::kVolcano: impl->volcano = VolcanoRunner(query); break;
+    case Engine::kVolcano: {
+      // Volcano has no hand-built plans: it runs the query's reference SQL
+      // text (same $names as the catalog's ParamSpecs) lowered onto the
+      // interpreter, exactly as PrepareSql(text, kVolcano) would.
+      const char* text = sql::SqlTextFor(impl->info->name);
+      VCQ_CHECK_MSG(text != nullptr, "catalog query has no reference SQL");
+      impl->CompileSql(SqlCatalog(), text);
+      break;
+    }
   }
   // Self-tuning (runtime/tuner.h): every tunable decision of this query
   // becomes a bandit knob, with the prepared options as the default arms —
@@ -1122,57 +1131,27 @@ PreparedQuery Session::PrepareSql(std::string_view sql_text, Engine engine,
   VCQ_CHECK_MSG(engine != Engine::kTyper,
                 "SQL lowering targets Tectorwise and Volcano; Typer "
                 "pipelines are ahead-of-time compiled per catalog query");
-  std::shared_ptr<const sql::Catalog> catalog = SqlCatalog();
-  // Compile-stage spans are recorded once here and prepended to every
-  // traced execution of the handle (Impl::prepare_trace) — prepare cost is
-  // part of the query's observable story even though it is paid once.
-  auto prepare_trace = std::make_shared<runtime::QueryTrace>();
-  sql::CompileResult compiled =
-      sql::Compile(catalog, sql_text, {}, prepare_trace.get());
-  // Malformed SQL is a caller bug at this API level and fails at prepare —
-  // never at Execute. Callers wanting a recoverable, positioned error
-  // (shells, fuzzers) call sql::Compile themselves.
-  VCQ_CHECK_MSG(compiled.ok(), compiled.error->Format().c_str());
   auto impl = std::make_shared<PreparedQuery::Impl>();
-  impl->prepare_trace = prepare_trace;
   impl->db = db_;
   impl->engine = engine;
   impl->is_sql = true;
-  impl->sql = compiled.query;
-  impl->opt = options;
-  if (impl->opt.pool == nullptr) impl->opt.pool = pool_;
-  // Same pool/stream/thread-clamp rules as Prepare (see there).
-  impl->opt.sched_stream = impl->opt.pool == pool_ ? stream_ : 0;
-  size_t cap = impl->opt.pool->scheduler().thread_count() + 1;
-  if (impl->opt.scheduler_threads > 0)
-    cap = std::min(cap, impl->opt.scheduler_threads);
-  impl->opt.threads = std::max<size_t>(1, std::min(impl->opt.threads, cap));
-  impl->owned_info = SqlQueryInfo(*compiled.query, *catalog);
+  impl->opt = StampSessionOptions(options, pool_, stream_);
+  std::shared_ptr<const sql::Catalog> catalog = SqlCatalog();
+  impl->CompileSql(catalog, sql_text);
+  const sql::CompiledQuery& compiled = *impl->sql;
+  impl->owned_info = SqlQueryInfo(compiled, *catalog);
   impl->info = &impl->owned_info;
   // No spec defaults: impl->defaults / impl->bound stay empty until Set.
-  impl->est_bytes = SqlEstimatedBuildBytes(compiled.query->plan());
-  switch (engine) {
-    case Engine::kTyper:
-      break;  // rejected above
-    case Engine::kTectorwise: {
-      runtime::TraceScope lower(prepare_trace.get(), "sql", "sql.lower");
-      impl->tw.emplace(compiled.query->LowerTectorwise());
-      // The binder declared every $param the plan reads, but run the same
-      // drift cross-check Prepare does — it guards the lowering too.
-      ValidatePlanParams(impl->tw->plan(), impl->owned_info);
-      break;
-    }
-    case Engine::kVolcano:
-      impl->volcano = [q = compiled.query](const Database&,
-                                           const QueryOptions& opt,
-                                           const QueryParams& params) {
-        return q->RunVolcano(opt, params);
-      };
-      break;
+  impl->est_bytes = SqlEstimatedBuildBytes(compiled.plan());
+  if (engine == Engine::kTectorwise) {
+    runtime::TraceScope lower(impl->prepare_trace.get(), "sql", "sql.lower");
+    impl->tw.emplace(compiled.LowerTectorwise());
+    // The binder declared every $param the plan reads, but run the same
+    // drift cross-check Prepare does — it guards the lowering too.
+    ValidatePlanParams(impl->tw->plan(), impl->owned_info);
   }
   if (options.tuning != TuningMode::kOff && engine == Engine::kTectorwise) {
-    impl->work_tuples =
-        std::max<size_t>(1, compiled.query->ScannedTuples());
+    impl->work_tuples = std::max<size_t>(1, compiled.ScannedTuples());
     auto tuner = std::make_unique<runtime::Tuner>(
         runtime::Tuner::ResolveSeed(options.tuner_seed));
     RegisterTectorwiseKnobs(*tuner, impl->tw->plan(), impl->opt);

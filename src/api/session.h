@@ -253,12 +253,12 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Validates that `engine` implements `query`, builds the plan once
-  /// (Tectorwise; Typer pipelines are ahead-of-time compiled, so prepare
-  /// is validation + parameter setup + column-accessor cache creation),
-  /// cross-checks plan parameter reads against the catalog
-  /// (ValidatePlanParams), and returns the reusable handle with the
-  /// catalog's default bindings. `options.threads` is clamped to the
+  /// Builds the plan once (Tectorwise; Typer pipelines are ahead-of-time
+  /// compiled, so prepare is parameter setup + column-accessor cache
+  /// creation; Volcano compiles the query's reference SQL text as
+  /// PrepareSql does), cross-checks Tectorwise parameter reads against
+  /// the catalog (ValidatePlanParams), and returns the reusable handle
+  /// with the catalog's default bindings. `options.threads` is clamped to the
   /// session pool's gang capacity + 1 — the executing thread acts as
   /// worker 0 — and to options.scheduler_threads when set, so regions
   /// always fit the fixed worker set; the session's pool and scheduling

@@ -42,9 +42,4 @@ std::vector<Query> TpchQueries() { return QueriesFor(Workload::kTpch); }
 
 std::vector<Query> SsbQueries() { return QueriesFor(Workload::kSsb); }
 
-bool EngineSupports(Engine engine, Query query) {
-  if (engine == Engine::kVolcano) return CatalogEntry(query).volcano;
-  return true;
-}
-
 }  // namespace vcq

@@ -168,8 +168,10 @@
 // as the single-threaded differential oracle — tests/sql_differential_
 // test.cc and the seeded fuzz harness (sql/fuzz.h, examples/sql_fuzz.cpp)
 // hold the two to byte-identical results; kTyper cannot run ad-hoc SQL
-// (its pipelines are ahead-of-time compiled per catalog query). Try
-// examples/sql_shell.cpp for an interactive front end.
+// (its pipelines are ahead-of-time compiled per catalog query). Catalog
+// Volcano handles (Session::Prepare) take this same path over each
+// query's reference text (sql/reference_queries.h), so Volcano covers
+// both workloads. Try examples/sql_shell.cpp for an interactive front end.
 //
 // Observability model (runtime/trace.h + runtime/metrics.h): two halves,
 // one recording path.
@@ -202,10 +204,10 @@
 //   VCQ_SLOW_QUERY_MS=<n> additionally logs one stderr line per query
 //   slower than n ms: name, bindings, status, rung, and its top-3 spans.
 //
-// The query list, engine support, and per-query parameter specifications
-// (names, types, spec defaults) live in the vcq::QueryCatalog
-// (api/query_catalog.h) — the single registry behind TpchQueries(),
-// SsbQueries(), EngineSupports(), and every bench/example query list.
+// The query list and per-query parameter specifications (names, types,
+// spec defaults) live in the vcq::QueryCatalog (api/query_catalog.h) —
+// the single registry behind TpchQueries(), SsbQueries(), and every
+// bench/example query list.
 //
 // RunQuery below survives as a one-shot convenience wrapper over a
 // temporary Session with default bindings. See examples/quickstart.cpp
@@ -216,9 +218,9 @@ namespace vcq {
 
 /// The three execution paradigms (paper Table 6 cells):
 /// Typer = push + compilation, Tectorwise = pull + vectorization,
-/// Volcano = pull + interpretation (single-threaded; TPC-H only in the
-/// catalog, both workloads through PrepareSql — its role is the SQL
-/// differential oracle).
+/// Volcano = pull + interpretation (single-threaded; catalog queries run
+/// their reference SQL text through the same lowering PrepareSql uses —
+/// its role is the differential oracle).
 enum class Engine { kTyper, kTectorwise, kVolcano };
 
 /// The studied workload (paper §3.3 and §4.4).
@@ -253,9 +255,6 @@ const char* QueryName(Query query);
 bool IsSsbQuery(Query query);
 std::vector<Query> TpchQueries();
 std::vector<Query> SsbQueries();
-
-/// True if `engine` implements `query` (Volcano covers TPC-H only).
-bool EngineSupports(Engine engine, Query query);
 
 }  // namespace vcq
 

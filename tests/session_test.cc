@@ -247,11 +247,11 @@ TEST(SessionTest, PartialExplicitBindingsLayerOverDefaults) {
 TEST(SessionTest, CatalogDeclaresEveryParameterTheEnginesRead) {
   // DefaultParams must fully cover each engine's parameter reads: running
   // with exactly the catalog defaults (what RunQuery does) must succeed
-  // for every query and engine, including Volcano's TPC-H half.
+  // for every query and engine, including the reference SQL texts Volcano
+  // runs.
   for (Query q : AllQueries()) {
     const Database& db = DbFor(q);
     for (Engine e : {Engine::kTyper, Engine::kTectorwise, Engine::kVolcano}) {
-      if (!EngineSupports(e, q)) continue;
       EXPECT_FALSE(RunQuery(db, e, q, QueryOptions{}).rows.empty())
           << QueryName(q) << " on " << EngineName(e);
     }
@@ -326,8 +326,23 @@ TEST(SessionDeathTest, MisuseIsRejected) {
   PreparedQuery tw = session.Prepare(Engine::kTectorwise, Query::kQ6);
   tw.Set("discount_lo", int64_t{4});
   EXPECT_EQ(volcano.Execute(), tw.Execute());
-  EXPECT_DEATH(session.Prepare(Engine::kVolcano, Query::kSsbQ11),
-               "does not implement");
+}
+
+TEST(SessionTest, ReboundSsbVolcanoMatchesTectorwise) {
+  // Volcano runs SSB through the catalog too (its plans are lowered from
+  // the reference SQL), and honors rebinding like the other engines.
+  Session session(SsbDb());
+  PreparedQuery volcano = session.Prepare(Engine::kVolcano, Query::kSsbQ31);
+  PreparedQuery tw = session.Prepare(Engine::kTectorwise, Query::kSsbQ31);
+  for (PreparedQuery* q : {&volcano, &tw}) {
+    q->Set("region", "EUROPE").Set("year_lo", int64_t{1993});
+  }
+  const QueryResult rebound = tw.Execute();
+  ASSERT_TRUE(rebound.ok());
+  ASSERT_FALSE(rebound.rows.empty());
+  EXPECT_NE(rebound, session.Prepare(Engine::kTectorwise, Query::kSsbQ31)
+                         .Execute());
+  EXPECT_EQ(volcano.Execute(), rebound);
 }
 
 }  // namespace

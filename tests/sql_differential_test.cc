@@ -21,7 +21,8 @@
 // workload, the hand-written SQL text (sql/reference_queries.h) prepared
 // through Session::PrepareSql yields BYTE-IDENTICAL results to the
 // catalog's hand-built plans — on Tectorwise at 1 and 8 threads and on the
-// Volcano interpreter, under the spec-default parameter bindings. On top
+// Volcano interpreter (also through Session::Prepare, which compiles the
+// same text), under the spec-default parameter bindings. On top
 // of that, a seeded random-query sweep (sql/fuzz.h) differentially tests
 // the two lowerings against each other far outside the nine fixed shapes.
 
@@ -90,6 +91,11 @@ TEST_P(SqlWorkloadTest, SqlMatchesCatalogPlanOnAllEngines) {
   PreparedQuery v = session.PrepareSql(text, Engine::kVolcano);
   BindDefaults(v, *info);
   EXPECT_EQ(v.Execute(), reference) << name << " (volcano)\n" << text;
+  // The catalog's Volcano handle runs the same text with the catalog's
+  // own default bindings.
+  EXPECT_EQ(session.Prepare(Engine::kVolcano, info->query).Execute(),
+            reference)
+      << name << " (catalog volcano)";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllNine, SqlWorkloadTest,
