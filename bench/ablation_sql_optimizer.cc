@@ -1,7 +1,9 @@
 // Ablation: the SQL optimizer's two plan-shaping passes — predicate
-// pushdown and greedy join ordering (sql/optimizer.h) — on Q3- and
-// Q9-shaped statements written with an adversarial FROM order (the fact
-// table first, the selective dimension filters last). Four configs
+// pushdown (which also governs group-by pushdown) and greedy join ordering
+// (sql/optimizer.h) — on Q3-, Q9- and Q18-shaped statements written with
+// an adversarial FROM order (the fact table first, the selective dimension
+// filters last). The Q18 shape groups lineitem by its order key, so the
+// pushdown configs aggregate and apply HAVING before any join. Four configs
 // {off, pushdown only, join order only, both} are compared on three axes:
 // the optimizer's own cost estimate (Σ estimated join-output rows), the
 // interpreter's measured intermediate-tuple count (sql/lower.h
@@ -35,7 +37,7 @@ struct Workload {
   const char* text;
 };
 
-// Both statements list lineitem first so the unoptimized left-deep plan
+// Every statement lists lineitem first so the unoptimized left-deep plan
 // joins the fact table before any filter has a chance to shrink it.
 const Workload kWorkloads[] = {
     {"Q3-shaped",
@@ -51,6 +53,12 @@ const Workload kWorkloads[] = {
      " AND s_suppkey = l_suppkey AND n_nationkey = s_nationkey"
      " AND p_partkey = l_partkey AND p_name LIKE '%green%'"
      " GROUP BY n_name"},
+    {"Q18-shaped",
+     "SELECT c_name, o_orderkey, o_totalprice, SUM(l_quantity) AS qty"
+     " FROM lineitem, orders, customer"
+     " WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey"
+     " GROUP BY c_name, o_orderkey, o_totalprice"
+     " HAVING SUM(l_quantity) > 300"},
 };
 
 }  // namespace

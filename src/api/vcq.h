@@ -156,8 +156,10 @@
 //
 // The pipeline is lexer → recursive-descent parser → AST → binder (typed
 // logical plan against a sql::Catalog derived from the database schema,
-// with per-column min/max statistics) → optimizer (constant folding,
-// predicate pushdown, greedy smallest-intermediate join ordering) →
+// with per-column min/max statistics and verified unique keys) →
+// optimizer (constant folding, predicate pushdown, greedy
+// smallest-intermediate join ordering on key-aware estimates, group-by
+// pushdown through key joins) →
 // lowering onto the same tectorwise::PlanBuilder DAG the catalog queries
 // use — so SQL-prepared queries inherit the whole runtime stack above
 // (scheduler, governor, spill, degradation, tuning) unchanged. `$name`

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "runtime/types.h"
@@ -28,6 +29,17 @@ const std::set<std::string_view>& DateColumns() {
   return *cols;
 }
 
+// Unique keys of the datagen schemas (TPC-H and SSB share the customer,
+// supplier and part key names). A key belongs to whichever table holds all
+// of its columns; the Catalog constructor verifies it on the data.
+const std::vector<std::vector<std::string_view>>& DeclaredKeys() {
+  static const auto* keys = new std::vector<std::vector<std::string_view>>{
+      {"p_partkey"},   {"s_suppkey"},   {"ps_partkey", "ps_suppkey"},
+      {"c_custkey"},   {"o_orderkey"},  {"n_nationkey"},
+      {"r_regionkey"}, {"d_datekey"}};
+  return *keys;
+}
+
 SqlType TypeFor(std::string_view name, runtime::TypeTag tag) {
   if (tag == runtime::TypeTag::kChar || tag == runtime::TypeTag::kVarchar)
     return SqlType{TypeKind::kString, 0};
@@ -50,6 +62,45 @@ ColumnStats ScanStats(std::span<const T> data) {
   s.max = static_cast<int64_t>(hi);
   s.valid = true;
   return s;
+}
+
+/// True when no two rows of `rel` agree on every column of `key` (integer
+/// columns, at most two; a pair packs into one 64-bit value).
+bool IsUnique(const runtime::Relation& rel, const TableDef& table,
+              const std::vector<size_t>& key) {
+  std::vector<uint64_t> packed(table.tuple_count, 0);
+  for (const size_t c : key) {
+    const ColumnDef& col = table.columns[c];
+    auto fold = [&](auto values) {
+      for (size_t r = 0; r < packed.size(); ++r)
+        packed[r] = key.size() == 1
+                        ? static_cast<uint64_t>(values[r])
+                        : (packed[r] << 32) | static_cast<uint32_t>(values[r]);
+    };
+    if (col.tag == runtime::TypeTag::kInt32)
+      fold(rel.Col<int32_t>(col.name));
+    else
+      fold(rel.Col<int64_t>(col.name));
+  }
+  std::sort(packed.begin(), packed.end());
+  return std::adjacent_find(packed.begin(), packed.end()) == packed.end();
+}
+
+/// The declared keys `table` holds and its rows satisfy.
+std::vector<std::vector<size_t>> VerifiedKeys(const runtime::Relation& rel,
+                                              const TableDef& table) {
+  std::vector<std::vector<size_t>> out;
+  for (const auto& names : DeclaredKeys()) {
+    std::vector<size_t> key;
+    for (const std::string_view name : names) {
+      const size_t c = table.IndexOf(name);
+      if (c == SIZE_MAX || !table.columns[c].stats.valid) break;
+      key.push_back(c);
+    }
+    if (key.size() == names.size() && IsUnique(rel, table, key))
+      out.push_back(std::move(key));
+  }
+  return out;
 }
 
 }  // namespace
@@ -78,6 +129,14 @@ size_t TableDef::IndexOf(std::string_view column) const {
   return SIZE_MAX;
 }
 
+bool TableDef::CoversKey(const std::vector<size_t>& cols) const {
+  return std::any_of(keys.begin(), keys.end(), [&](const auto& key) {
+    return std::all_of(key.begin(), key.end(), [&](size_t c) {
+      return std::find(cols.begin(), cols.end(), c) != cols.end();
+    });
+  });
+}
+
 Catalog::Catalog(const runtime::Database& db) : db_(&db) {
   for (const std::string& name : db.RelationNames()) {
     const runtime::Relation& rel = db[name];
@@ -97,6 +156,7 @@ Catalog::Catalog(const runtime::Database& db) : db_(&db) {
         def.stats = ScanStats(rel.Col<int64_t>(col));
       table.columns.push_back(std::move(def));
     }
+    table.keys = VerifiedKeys(rel, table);
     tables_.push_back(std::move(table));
   }
 }

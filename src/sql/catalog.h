@@ -18,6 +18,15 @@
 // schemas by column name — the one place in the library where column-name
 // conventions carry meaning — and scans per-column min/max statistics once
 // at construction for the optimizer's cardinality model.
+//
+// Keys: the catalog declares the unique keys of the datagen schemas (TPC-H
+// p_partkey, s_suppkey, (ps_partkey, ps_suppkey), c_custkey, o_orderkey,
+// n_nationkey, r_regionkey; SSB d_datekey, c_custkey, s_suppkey,
+// p_partkey) and verifies each once, at construction, against the stored
+// rows. A declared key is recorded on its TableDef only if the table holds
+// all of its columns and no two rows share a key value, so TableDef::keys
+// is a fact about the data, never an assumption: the optimizer's
+// key-aware join estimates and group-by pushdown (optimizer.h) rely on it.
 
 namespace vcq::sql {
 
@@ -63,14 +72,21 @@ struct TableDef {
   std::string name;
   size_t tuple_count = 0;
   std::vector<ColumnDef> columns;
+  /// Verified unique keys, each a set of indexes into `columns` (one
+  /// column, or two for a composite key).
+  std::vector<std::vector<size_t>> keys;
 
   const ColumnDef* Find(std::string_view column) const;
   /// Index into `columns`, or SIZE_MAX.
   size_t IndexOf(std::string_view column) const;
+  /// True when the columns `cols` include every column of some key, i.e.
+  /// rows agreeing on `cols` are one row.
+  bool CoversKey(const std::vector<size_t>& cols) const;
 };
 
 /// Bound schema + statistics over one runtime::Database. Construction
-/// scans every integer column once for min/max; share one catalog across
+/// scans every integer column once for min/max and verifies the declared
+/// keys (sorting each key's values once); share one catalog across
 /// compilations of the same database (MakeCatalog returns a shared_ptr and
 /// CompiledQuery keeps it alive).
 class Catalog {

@@ -11,30 +11,33 @@ namespace vcq::sql {
 namespace {
 
 /// One foreign-key edge of the workload graph: joining `a` to `b` is
-/// equality on `cond` (composite keys are pre-joined conjunctions).
+/// equality on `cond` (composite keys are pre-joined conjunctions), and
+/// `b_key` lists b's side of it — a key of b.
 struct FkEdge {
   const char* a;
   const char* b;
   const char* cond;
+  const char* b_key;
 };
 
 constexpr FkEdge kTpchEdges[] = {
-    {"lineitem", "orders", "l_orderkey = o_orderkey"},
-    {"orders", "customer", "o_custkey = c_custkey"},
+    {"lineitem", "orders", "l_orderkey = o_orderkey", "o_orderkey"},
+    {"orders", "customer", "o_custkey = c_custkey", "c_custkey"},
     {"lineitem", "partsupp",
-     "l_partkey = ps_partkey AND l_suppkey = ps_suppkey"},
-    {"partsupp", "part", "ps_partkey = p_partkey"},
-    {"partsupp", "supplier", "ps_suppkey = s_suppkey"},
-    {"supplier", "nation", "s_nationkey = n_nationkey"},
-    {"customer", "nation", "c_nationkey = n_nationkey"},
-    {"nation", "region", "n_regionkey = r_regionkey"},
+     "l_partkey = ps_partkey AND l_suppkey = ps_suppkey",
+     "ps_partkey, ps_suppkey"},
+    {"partsupp", "part", "ps_partkey = p_partkey", "p_partkey"},
+    {"partsupp", "supplier", "ps_suppkey = s_suppkey", "s_suppkey"},
+    {"supplier", "nation", "s_nationkey = n_nationkey", "n_nationkey"},
+    {"customer", "nation", "c_nationkey = n_nationkey", "n_nationkey"},
+    {"nation", "region", "n_regionkey = r_regionkey", "r_regionkey"},
 };
 
 constexpr FkEdge kSsbEdges[] = {
-    {"lineorder", "date", "lo_orderdate = d_datekey"},
-    {"lineorder", "customer", "lo_custkey = c_custkey"},
-    {"lineorder", "supplier", "lo_suppkey = s_suppkey"},
-    {"lineorder", "part", "lo_partkey = p_partkey"},
+    {"lineorder", "date", "lo_orderdate = d_datekey", "d_datekey"},
+    {"lineorder", "customer", "lo_custkey = c_custkey", "c_custkey"},
+    {"lineorder", "supplier", "lo_suppkey = s_suppkey", "s_suppkey"},
+    {"lineorder", "part", "lo_partkey = p_partkey", "p_partkey"},
 };
 
 class Generator {
@@ -51,10 +54,13 @@ class Generator {
     CollectColumns();
     const bool grouped = Chance(55);
     const bool projection = !grouped && Chance(35) && !columns_.empty();
+    const TableDef* root = grouped && Chance(40) ? KeyRoot() : nullptr;
     std::string select;
     std::string tail;
     if (projection) {
       select = ProjectionList();
+    } else if (root != nullptr) {
+      select = KeyGroupedList(*root, &tail);
     } else {
       if (grouped) PickGroupKeys();
       select = AggregateList();
@@ -76,7 +82,7 @@ class Generator {
     std::vector<std::string> preds = join_conds_;
     const size_t npred = Uniform(0, 3);
     for (size_t i = 0; i < npred; ++i) {
-      std::string p = RandomPredicate();
+      std::string p = RandomPredicate(root);
       if (!p.empty()) preds.push_back(std::move(p));
     }
     if (!preds.empty()) {
@@ -136,12 +142,73 @@ class Generator {
       const FkEdge* pick = frontier[Uniform(0, frontier.size() - 1)];
       chosen.push_back(Has(chosen, pick->a) ? pick->b : pick->a);
       join_conds_.push_back(pick->cond);
+      edges_chosen_.push_back(pick);
     }
     for (const std::string& name : chosen) {
       const TableDef* def = catalog_.Find(name);
       VCQ_CHECK_MSG(def != nullptr, "fuzz table missing from catalog");
       tables_.push_back(def);
     }
+  }
+
+  /// The one table no chosen edge points at, when the join tree has
+  /// exactly one: every other table then hangs off it through key joins,
+  /// so grouping by its join keys is the group-by pushdown's shape.
+  const TableDef* KeyRoot() const {
+    const TableDef* root = nullptr;
+    for (const TableDef* t : tables_) {
+      const bool pointed_at =
+          std::any_of(edges_chosen_.begin(), edges_chosen_.end(),
+                      [&](const FkEdge* e) { return t->name == e->b; });
+      if (pointed_at) continue;
+      if (root != nullptr) return nullptr;
+      root = t;
+    }
+    return tables_.size() > 1 ? root : nullptr;
+  }
+
+  /// SELECT list + GROUP BY (and sometimes HAVING) tail grouping by the
+  /// key columns `root` joins to — e.g. o_orderkey with aggregates over
+  /// lineitem — plus sometimes one of root's own columns.
+  std::string KeyGroupedList(const TableDef& root, std::string* tail) {
+    std::vector<std::string> keys;
+    for (const FkEdge* e : edges_chosen_)
+      if (root.name == e->a) keys.emplace_back(e->b_key);
+    if (Chance(30))
+      keys.push_back(root.columns[Uniform(0, root.columns.size() - 1)].name);
+    std::vector<const ColumnDef*> own;
+    for (const ColumnDef& c : root.columns)
+      if (c.type.kind == TypeKind::kNumeric) own.push_back(&c);
+
+    std::string out;
+    size_t n = 0;
+    for (const std::string& k : keys) {
+      out += (n ? ", " : "") + k;
+      n += static_cast<size_t>(std::count(k.begin(), k.end(), ',')) + 1;
+    }
+    const size_t naggs = Uniform(1, 3);
+    for (size_t i = 0; i < naggs; ++i) {
+      out += ", ";
+      if (own.empty() || Chance(20)) {
+        out += "COUNT(*)";
+      } else {
+        static constexpr const char* kFns[] = {"SUM", "MIN", "MAX", "AVG"};
+        std::string arg = own[Uniform(0, own.size() - 1)]->name;
+        if (Chance(30))
+          arg += std::string(Chance(50) ? " + " : " - ") +
+                 own[Uniform(0, own.size() - 1)]->name;
+        out += std::string(kFns[Uniform(0, 3)]) + "(" + arg + ")";
+      }
+      out += " AS a" + std::to_string(i);
+    }
+    output_count_ = n + naggs;
+    *tail += "GROUP BY ";
+    for (size_t i = 0; i < keys.size(); ++i)
+      *tail += (i ? ", " : "") + keys[i];
+    *tail += "\n";
+    if (Chance(40))
+      *tail += "HAVING COUNT(*) > " + std::to_string(Uniform(1, 3)) + "\n";
+    return out;
   }
 
   static bool Has(const std::vector<std::string>& v, const char* s) {
@@ -170,8 +237,13 @@ class Generator {
     return digits;
   }
 
-  std::string RandomPredicate() {
-    const ColumnDef* col = columns_[Uniform(0, columns_.size() - 1)];
+  /// A single-column predicate; on `only`'s columns when non-null (key-
+  /// grouped queries filter just the root, so their joins stay
+  /// unselective and the group-by pushdown pays off).
+  std::string RandomPredicate(const TableDef* only) {
+    const ColumnDef* col =
+        only != nullptr ? &only->columns[Uniform(0, only->columns.size() - 1)]
+                        : columns_[Uniform(0, columns_.size() - 1)];
     const TableDef* owner = owner_[ColumnIndex(col)];
     if (col->type.kind == TypeKind::kString) {
       if (owner->tuple_count == 0) return {};
@@ -271,6 +343,7 @@ class Generator {
   size_t edge_count_;
   std::vector<const TableDef*> tables_;
   std::vector<std::string> join_conds_;
+  std::vector<const FkEdge*> edges_chosen_;
   std::vector<const ColumnDef*> columns_;
   std::vector<const TableDef*> owner_;
   std::vector<const ColumnDef*> numerics_;

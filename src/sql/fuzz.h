@@ -14,7 +14,10 @@
 // connected subtrees of the workload's foreign-key graph, predicates draw
 // literals from the catalog's min/max statistics (numerics) or from actual
 // stored rows (strings), and multiplication is kept out of generated
-// expressions so fixed-point sums cannot overflow.
+// expressions so fixed-point sums cannot overflow. Some grouped queries
+// group by the key columns the join tree's root table joins to (e.g.
+// o_orderkey with aggregates over lineitem), the shape on which the
+// optimizer's group-by pushdown fires.
 
 namespace vcq::sql {
 

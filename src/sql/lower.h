@@ -41,6 +41,30 @@
 
 namespace vcq::sql {
 
+// Both lowerings thread columns up the join tree keyed by (table, column).
+// Aggregate `i` of a pre-aggregated leaf (PhysicalPlan::PreAggregated)
+// rides as pseudo-column kAggCol | i of that leaf's table, so the join
+// code carries it like any other column of that table.
+namespace lowering {
+
+constexpr uint32_t kAggCol = 1u << 31;  // column indexes never reach it
+
+inline uint64_t CKey(ColumnId id) {
+  return (static_cast<uint64_t>(id.table) << 32) | id.col;
+}
+
+inline ColumnId KeyColumn(uint64_t key) {
+  return {static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key)};
+}
+
+inline uint64_t AggKey(uint32_t table, size_t i) {
+  return CKey({table, kAggCol | static_cast<uint32_t>(i)});
+}
+
+inline bool IsAggKey(uint64_t key) { return (key & kAggCol) != 0; }
+
+}  // namespace lowering
+
 struct VolcanoJoinStat {
   std::string label;  // "buildtables⋈probetables"
   uint64_t tuples = 0;

@@ -24,6 +24,11 @@
 // ancestors still need (computed top-down), re-declared across joins with
 // Build/Probe since Tectorwise rematerializes join output.
 //
+// An eager-aggregated leaf (optimizer.h group-by pushdown) ends in
+// hash group-by → [HAVING select]; its aggregate outputs travel up the
+// joins as int64 pseudo-columns of its table, and the top stage is then a
+// projection of group keys and those columns.
+//
 // The collector reads the root's result columns with Batch::Value (the
 // selection-vector-aware accessor — a HAVING clause leaves a Select as
 // root) into untyped SqlRows and hands them to the shared result writer.
@@ -31,6 +36,10 @@
 namespace vcq::sql {
 namespace {
 
+using lowering::AggKey;
+using lowering::CKey;
+using lowering::IsAggKey;
+using lowering::KeyColumn;
 using runtime::Char;
 using runtime::QueryOptions;
 using runtime::QueryParams;
@@ -43,10 +52,6 @@ using tectorwise::Plan;
 using tectorwise::PlanBuilder;
 using tectorwise::PlanNode;
 using tectorwise::SelectNode;
-
-uint64_t CKey(ColumnId id) {
-  return (static_cast<uint64_t>(id.table) << 32) | id.col;
-}
 
 tectorwise::CmpOp TwCmp(CmpOp op) {
   switch (op) {
@@ -138,11 +143,12 @@ struct Env {
   PlanNode* node = nullptr;
   std::unordered_map<uint64_t, ColumnRef> cols;
 
-  ColumnRef Ref(ColumnId id) const {
-    const auto it = cols.find(CKey(id));
+  ColumnRef Ref(uint64_t key) const {
+    const auto it = cols.find(key);
     VCQ_CHECK_MSG(it != cols.end(), "internal: column not carried");
     return it->second;
   }
+  ColumnRef Ref(ColumnId id) const { return Ref(CKey(id)); }
 };
 
 class Lowerer {
@@ -153,10 +159,16 @@ class Lowerer {
   tectorwise::Prepared Run() {
     std::set<uint64_t> needed;
     for (const Scalar& v : q_.values) Collect(v, &needed);
-    for (const Aggregate& a : q_.aggs)
-      if (a.has_arg) Collect(a.arg, &needed);
+    const JoinTree* eager = p_.PreAggregated();
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      if (eager != nullptr)
+        needed.insert(AggKey(static_cast<uint32_t>(eager->table), i));
+      else if (q_.aggs[i].has_arg)
+        Collect(q_.aggs[i].arg, &needed);
+    }
     Env env = Lower(*p_.root, needed);
-    return q_.aggs.empty() ? Projection(env) : Aggregate_(env);
+    return q_.aggs.empty() || eager != nullptr ? Projection(env)
+                                               : Aggregate_(env);
   }
 
  private:
@@ -167,6 +179,14 @@ class Lowerer {
   void Collect(const Scalar& s, std::set<uint64_t>* out) {
     if (s.IsColumn()) out->insert(CKey(s.col));
     for (const Scalar& a : s.args) Collect(a, out);
+  }
+
+  /// Calls `f` with a typed null pointer for the column behind `key`
+  /// (aggregate pseudo-columns are int64).
+  template <typename F>
+  decltype(auto) WithKeyPhys(uint64_t key, F&& f) {
+    if (IsAggKey(key)) return f(static_cast<int64_t*>(nullptr));
+    return WithPhys(q_.Column(KeyColumn(key)), f);
   }
 
   /// True when a native int32 comparison would truncate the constant.
@@ -308,20 +328,25 @@ class Lowerer {
     for (uint32_t f : t.filters) Collect(q_.filters[f].lhs, &needed);
 
     if (t.IsLeaf()) {
+      if (!t.group_by.empty()) {
+        std::erase_if(needed, IsAggKey);
+        for (const ColumnId c : t.group_by) needed.insert(CKey(c));
+        for (const sql::Aggregate& a : q_.aggs)
+          if (a.has_arg) Collect(a.arg, &needed);
+      }
       const TableDef& def = q_.Table(static_cast<uint32_t>(t.table));
       auto& scan = pb_.Scan(q_.catalog->db()[def.name], def.name);
       Env env;
       env.node = &scan;
       for (const uint64_t key : needed) {
-        const ColumnId id{static_cast<uint32_t>(key >> 32),
-                          static_cast<uint32_t>(key)};
-        const ColumnDef& col = q_.Column(id);
+        const ColumnDef& col = q_.Column(KeyColumn(key));
         env.cols.emplace(key, WithPhys(col, [&](auto* tp) {
                            using T = std::remove_pointer_t<decltype(tp)>;
                            return scan.Col<T>(col.name);
                          }));
       }
       ApplyFilters(t, &env);
+      if (!t.group_by.empty()) PreAggregate(t, &env);
       return env;
     }
 
@@ -352,18 +377,89 @@ class Lowerer {
     Env env;
     env.node = &join;
     for (const uint64_t key : needed) {
-      const ColumnId id{static_cast<uint32_t>(key >> 32),
-                        static_cast<uint32_t>(key)};
-      const ColumnDef& col = q_.Column(id);
-      const bool from_build = (t.build->mask >> id.table) & 1;
-      env.cols.emplace(key, WithPhys(col, [&](auto* tp) {
+      const bool from_build = (t.build->mask >> (key >> 32)) & 1;
+      env.cols.emplace(key, WithKeyPhys(key, [&](auto* tp) {
                          using T = std::remove_pointer_t<decltype(tp)>;
-                         return from_build ? join.Build<T>(benv.Ref(id))
-                                           : join.Probe<T>(penv.Ref(id));
+                         return from_build ? join.Build<T>(benv.Ref(key))
+                                           : join.Probe<T>(penv.Ref(key));
                        }));
     }
     ApplyFilters(t, &env);
     return env;
+  }
+
+  /// Eager aggregation at a leaf: hash group-by on `t.group_by` computing
+  /// every aggregate, then HAVING. Replaces `env` with the group's output:
+  /// its key columns plus one aggregate pseudo-column per aggregate.
+  void PreAggregate(const JoinTree& t, Env* env) {
+    MapNode* map = nullptr;
+    const std::vector<ColumnRef> args = StageAggArgs(env, &map);
+    auto& group = pb_.HashGroup(map != nullptr ? static_cast<PlanNode&>(*map)
+                                               : *env->node);
+    Env out;
+    for (const ColumnId c : t.group_by) {
+      out.cols.emplace(CKey(c), WithPhys(q_.Column(c), [&](auto* tp) {
+                         using T = std::remove_pointer_t<decltype(tp)>;
+                         return group.Key<T>(env->Ref(c));
+                       }));
+    }
+    const std::vector<ColumnRef> aggs = AddAggs(group, args);
+    for (size_t i = 0; i < aggs.size(); ++i)
+      out.cols.emplace(AggKey(static_cast<uint32_t>(t.table), i), aggs[i]);
+    out.node = &Having(group, aggs);
+    *env = std::move(out);
+  }
+
+  /// Stages every aggregate argument as an int64 column (Widen int32
+  /// arguments, dates included for min/max); creates `*map` on demand.
+  std::vector<ColumnRef> StageAggArgs(Env* env, MapNode** map) {
+    std::vector<ColumnRef> args(q_.aggs.size());
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      const sql::Aggregate& a = q_.aggs[i];
+      if (!a.has_arg) continue;
+      if (*map == nullptr) *map = &pb_.Map(*env->node);
+      args[i] = LowerNumeric(**map, *env, a.arg);
+    }
+    return args;
+  }
+
+  std::vector<ColumnRef> AddAggs(tectorwise::GroupNode& group,
+                                 const std::vector<ColumnRef>& args) {
+    std::vector<ColumnRef> outs(q_.aggs.size());
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      switch (q_.aggs[i].fn) {
+        case ast::AggFn::kSum:
+          outs[i] = group.Sum(args[i]);
+          break;
+        case ast::AggFn::kCount:
+          outs[i] = group.Count();
+          break;
+        case ast::AggFn::kMin:
+          outs[i] = group.Min(args[i]);
+          break;
+        case ast::AggFn::kMax:
+          outs[i] = group.Max(args[i]);
+          break;
+        case ast::AggFn::kAvg:
+          VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
+      }
+    }
+    return outs;
+  }
+
+  /// The HAVING conjuncts as one Select over the group's output (the group
+  /// itself when there are none).
+  PlanNode& Having(tectorwise::GroupNode& group,
+                   const std::vector<ColumnRef>& aggs) {
+    if (q_.having.empty()) return group;
+    auto& hsel = pb_.Select(group);
+    for (const HavingPred& h : q_.having) {
+      if (h.rhs.is_param)
+        hsel.CmpParam<int64_t>(aggs[h.agg], TwCmp(h.cmp), h.rhs.param);
+      else
+        hsel.Cmp<int64_t>(aggs[h.agg], TwCmp(h.cmp), h.rhs.num);
+    }
+    return hsel;
   }
 
   /// Getter for a physical column output (string → SqlValue::Str).
@@ -436,6 +532,8 @@ class Lowerer {
         });
   }
 
+  /// Plain projection, or the top of an eager-aggregated plan: the group
+  /// keys followed by the aggregate pseudo-columns carried up the joins.
   tectorwise::Prepared Projection(Env env) {
     MapNode* map = nullptr;
     std::vector<ColumnRef> refs;
@@ -445,24 +543,25 @@ class Lowerer {
       refs.push_back(ref);
       getters.push_back(std::move(get));
     }
+    if (const JoinTree* eager = p_.PreAggregated()) {
+      for (size_t i = 0; i < q_.aggs.size(); ++i) {
+        const ColumnRef ref =
+            env.Ref(AggKey(static_cast<uint32_t>(eager->table), i));
+        refs.push_back(ref);
+        getters.push_back(NumGetter<int64_t>(ref));
+      }
+    }
     PlanNode& root = map != nullptr ? static_cast<PlanNode&>(*map) : *env.node;
     return Gather(root, std::move(refs), std::move(getters));
   }
 
   tectorwise::Prepared Aggregate_(Env env) {
-    // Stage the group keys and aggregate arguments. Aggregation inputs are
-    // int64 (Widen int32 arguments, dates included for min/max).
     MapNode* map = nullptr;
     auto ensure_map = [&]() -> MapNode& {
       if (map == nullptr) map = &pb_.Map(*env.node);
       return *map;
     };
-    std::vector<ColumnRef> arg_refs(q_.aggs.size());
-    for (size_t i = 0; i < q_.aggs.size(); ++i) {
-      const sql::Aggregate& a = q_.aggs[i];
-      if (!a.has_arg) continue;
-      arg_refs[i] = LowerNumeric(ensure_map(), env, a.arg);
-    }
+    const std::vector<ColumnRef> arg_refs = StageAggArgs(&env, &map);
 
     if (!q_.grouped) {
       // Ungrouped: FixedAgg emits one worker-local partial row per worker;
@@ -567,40 +666,12 @@ class Lowerer {
         getters.push_back(NumGetter<int64_t>(out));
       }
     }
-    std::vector<ColumnRef> agg_outs(q_.aggs.size());
-    for (size_t i = 0; i < q_.aggs.size(); ++i) {
-      const sql::Aggregate& a = q_.aggs[i];
-      switch (a.fn) {
-        case ast::AggFn::kSum:
-          agg_outs[i] = group.Sum(arg_refs[i]);
-          break;
-        case ast::AggFn::kCount:
-          agg_outs[i] = group.Count();
-          break;
-        case ast::AggFn::kMin:
-          agg_outs[i] = group.Min(arg_refs[i]);
-          break;
-        case ast::AggFn::kMax:
-          agg_outs[i] = group.Max(arg_refs[i]);
-          break;
-        case ast::AggFn::kAvg:
-          VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
-      }
-      refs.push_back(agg_outs[i]);
-      getters.push_back(NumGetter<int64_t>(agg_outs[i]));
+    const std::vector<ColumnRef> agg_outs = AddAggs(group, arg_refs);
+    for (const ColumnRef out : agg_outs) {
+      refs.push_back(out);
+      getters.push_back(NumGetter<int64_t>(out));
     }
-
-    PlanNode* root = &group;
-    if (!q_.having.empty()) {
-      auto& hsel = pb_.Select(group);
-      for (const HavingPred& h : q_.having) {
-        if (h.rhs.is_param)
-          hsel.CmpParam<int64_t>(agg_outs[h.agg], TwCmp(h.cmp), h.rhs.param);
-        else
-          hsel.Cmp<int64_t>(agg_outs[h.agg], TwCmp(h.cmp), h.rhs.num);
-      }
-      root = &hsel;
-    }
+    PlanNode* root = &Having(group, agg_outs);
     return Gather(*root, std::move(refs), std::move(getters));
   }
 

@@ -30,6 +30,11 @@
 //     wherever the optimizer placed the filter (above the last join when
 //     pushdown is off).
 //
+// An eager-aggregated leaf (optimizer.h group-by pushdown) ends in a
+// GroupByOp plus a HAVING select; its aggregate values ride up the joins
+// as slots keyed like columns of its table, and the drain loop is then a
+// projection of group keys and those slots.
+//
 // Each join is wrapped in a counting adapter; RunVolcano reports the
 // per-join output cardinalities as the ablation bench's ground-truth
 // "intermediate tuples" metric.
@@ -37,6 +42,10 @@
 namespace vcq::sql {
 namespace {
 
+using lowering::AggKey;
+using lowering::CKey;
+using lowering::IsAggKey;
+using lowering::KeyColumn;
 using runtime::Char;
 using runtime::QueryOptions;
 using runtime::QueryParams;
@@ -55,10 +64,6 @@ using volcano::SelectOp;
 /// pseudo-slots are (kPredBit | filter index). Disjoint since table
 /// indexes are at most 15.
 constexpr uint64_t kPredBit = 1ull << 63;
-
-uint64_t CKey(ColumnId id) {
-  return (static_cast<uint64_t>(id.table) << 32) | id.col;
-}
 
 int64_t PackKeys(int64_t hi, int64_t lo) {
   return static_cast<int64_t>((static_cast<uint64_t>(hi) << 32) |
@@ -166,13 +171,18 @@ class Lowerer {
   QueryResult Run(VolcanoStats* stats) {
     std::set<uint64_t> needed;
     for (const Scalar& v : q_.values) Collect(v, &needed);
-    for (const Aggregate& a : q_.aggs)
-      if (a.has_arg) Collect(a.arg, &needed);
+    const JoinTree* eager = p_.PreAggregated();
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      if (eager != nullptr)
+        needed.insert(AggKey(static_cast<uint32_t>(eager->table), i));
+      else if (q_.aggs[i].has_arg)
+        Collect(q_.aggs[i].arg, &needed);
+    }
     VEnv env = Lower(*p_.root, std::move(needed));
 
     const ResultSpec spec = SpecFor(q_);
     std::vector<SqlRow> rows;
-    if (q_.aggs.empty())
+    if (q_.aggs.empty() || eager != nullptr)
       Project(std::move(env), &rows);
     else if (q_.grouped)
       Group(std::move(env), &rows);
@@ -380,10 +390,16 @@ class Lowerer {
       else
         Collect(p.lhs, &needed);
     }
-    return t.IsLeaf() ? Leaf(t, needed) : Join(t, needed);
+    return t.IsLeaf() ? Leaf(t, std::move(needed)) : Join(t, needed);
   }
 
-  VEnv Leaf(const JoinTree& t, const std::set<uint64_t>& needed) {
+  VEnv Leaf(const JoinTree& t, std::set<uint64_t> needed) {
+    if (!t.group_by.empty()) {
+      std::erase_if(needed, IsAggKey);
+      for (const ColumnId c : t.group_by) needed.insert(CKey(c));
+      for (const Aggregate& a : q_.aggs)
+        if (a.has_arg) Collect(a.arg, &needed);
+    }
     const auto table = static_cast<uint32_t>(t.table);
     const TableDef& def = q_.Table(table);
     const runtime::Relation& rel = q_.catalog->db()[def.name];
@@ -397,8 +413,7 @@ class Lowerer {
             scan->AddAccessor([fn](size_t i) { return fn(i) ? 1 : 0; });
         continue;
       }
-      const ColumnId id{static_cast<uint32_t>(key >> 32),
-                        static_cast<uint32_t>(key)};
+      const ColumnId id = KeyColumn(key);
       const ColumnDef& c = q_.Column(id);
       env.slots[key] = WithPhys(c, [&](auto* tp) -> size_t {
         using T = std::remove_pointer_t<decltype(tp)>;
@@ -415,7 +430,90 @@ class Lowerer {
     }
     env.op = std::move(scan);
     ApplyFilters(t, &env);
+    if (!t.group_by.empty()) PreAggregate(t, &env);
     return env;
+  }
+
+  /// Eager aggregation at a leaf: GroupByOp on `t.group_by` computing every
+  /// aggregate, then HAVING. Replaces `env` with the group's output: key
+  /// slots first, then one slot per aggregate.
+  void PreAggregate(const JoinTree& t, VEnv* env) {
+    std::vector<size_t> keys;
+    for (const ColumnId c : t.group_by) keys.push_back(env->Slot(c));
+    ProjectOp* proj = nullptr;
+    const std::vector<size_t> args = AggArgSlots(*env, &env->op, &proj);
+    auto group = std::make_unique<GroupByOp>(std::move(env->op), keys);
+    AddAggs(group.get(), args);
+    VEnv out;
+    for (size_t i = 0; i < keys.size(); ++i)
+      out.slots[CKey(t.group_by[i])] = i;
+    for (size_t i = 0; i < q_.aggs.size(); ++i)
+      out.slots[AggKey(static_cast<uint32_t>(t.table), i)] = keys.size() + i;
+    out.op = std::move(group);
+    if (!q_.having.empty()) {
+      const size_t nkeys = keys.size();
+      out.op = std::make_unique<SelectOp>(
+          std::move(out.op),
+          [this, nkeys](const Row& r) { return PassesHaving(r, nkeys); });
+    }
+    *env = std::move(out);
+  }
+
+  /// The ProjectOp `*proj` over `*op`, added on first use.
+  static ProjectOp& EnsureProject(std::unique_ptr<Operator>* op,
+                                  ProjectOp** proj) {
+    if (*proj == nullptr) {
+      auto p = std::make_unique<ProjectOp>(std::move(*op));
+      *proj = p.get();
+      *op = std::move(p);
+    }
+    return **proj;
+  }
+
+  /// Slots holding each aggregate's argument (SIZE_MAX for COUNT(*)):
+  /// plain columns in place, expressions appended to the ProjectOp
+  /// `*proj` over `*op`.
+  std::vector<size_t> AggArgSlots(const VEnv& env,
+                                  std::unique_ptr<Operator>* op,
+                                  ProjectOp** proj) const {
+    std::vector<size_t> slots(q_.aggs.size(), SIZE_MAX);
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      const Aggregate& a = q_.aggs[i];
+      if (!a.has_arg) continue;
+      slots[i] = a.arg.IsColumn()
+                     ? env.Slot(a.arg.col)
+                     : EnsureProject(op, proj).AddExpr(Eval(a.arg, env));
+    }
+    return slots;
+  }
+
+  void AddAggs(GroupByOp* group, const std::vector<size_t>& args) const {
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      switch (q_.aggs[i].fn) {
+        case ast::AggFn::kSum:
+          group->AddAggOp(GroupByOp::AggOp::kSum, args[i]);
+          break;
+        case ast::AggFn::kCount:
+          group->AddAggOp(GroupByOp::AggOp::kCount);
+          break;
+        case ast::AggFn::kMin:
+          group->AddAggOp(GroupByOp::AggOp::kMin, args[i]);
+          break;
+        case ast::AggFn::kMax:
+          group->AddAggOp(GroupByOp::AggOp::kMax, args[i]);
+          break;
+        case ast::AggFn::kAvg:
+          VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
+      }
+    }
+  }
+
+  /// HAVING over a group row whose aggregates start at slot `nkeys`.
+  bool PassesHaving(const Row& row, size_t nkeys) const {
+    for (const HavingPred& h : q_.having)
+      if (!CmpApply(h.cmp, row[nkeys + h.agg], NumOperand(h.rhs)))
+        return false;
+    return true;
   }
 
   std::string MaskNames(uint32_t mask) const {
@@ -501,6 +599,8 @@ class Lowerer {
     return [](const Row& r, size_t slot) { return SqlValue::Num(r[slot]); };
   }
 
+  /// Plain projection, or the top of an eager-aggregated plan: the group
+  /// keys followed by the aggregate slots carried up the joins.
   void Project(VEnv env, std::vector<SqlRow>* rows) {
     std::vector<RowFn> fns;
     std::vector<std::function<SqlValue(int64_t)>> decode;
@@ -514,6 +614,14 @@ class Lowerer {
       } else {
         decode.emplace_back(
             [](int64_t x) { return SqlValue::Num(x); });
+      }
+    }
+    if (const JoinTree* eager = p_.PreAggregated()) {
+      for (size_t i = 0; i < q_.aggs.size(); ++i) {
+        const size_t slot =
+            env.Slot(AggKey(static_cast<uint32_t>(eager->table), i));
+        fns.push_back([slot](const Row& r) { return r[slot]; });
+        decode.emplace_back([](int64_t x) { return SqlValue::Num(x); });
       }
     }
     env.op->Open();
@@ -530,53 +638,17 @@ class Lowerer {
   void Group(VEnv env, std::vector<SqlRow>* rows) {
     std::unique_ptr<Operator> op = std::move(env.op);
     ProjectOp* proj = nullptr;
-    auto ensure_proj = [&]() -> ProjectOp& {
-      if (proj == nullptr) {
-        auto p = std::make_unique<ProjectOp>(std::move(op));
-        proj = p.get();
-        op = std::move(p);
-      }
-      return *proj;
-    };
     std::vector<size_t> key_slots;
     for (const Scalar& v : q_.values) {
       if (v.IsColumn()) {
         key_slots.push_back(env.Slot(v.col));
         continue;
       }
-      const RowFn fn = Eval(v, env);
-      key_slots.push_back(ensure_proj().AddExpr(fn));
+      key_slots.push_back(EnsureProject(&op, &proj).AddExpr(Eval(v, env)));
     }
-    std::vector<size_t> arg_slots(q_.aggs.size(), SIZE_MAX);
-    for (size_t i = 0; i < q_.aggs.size(); ++i) {
-      const Aggregate& a = q_.aggs[i];
-      if (!a.has_arg) continue;
-      if (a.arg.IsColumn()) {
-        arg_slots[i] = env.Slot(a.arg.col);
-      } else {
-        const RowFn fn = Eval(a.arg, env);
-        arg_slots[i] = ensure_proj().AddExpr(fn);
-      }
-    }
+    const std::vector<size_t> arg_slots = AggArgSlots(env, &op, &proj);
     auto group = std::make_unique<GroupByOp>(std::move(op), key_slots);
-    for (size_t i = 0; i < q_.aggs.size(); ++i) {
-      switch (q_.aggs[i].fn) {
-        case ast::AggFn::kSum:
-          group->AddAggOp(GroupByOp::AggOp::kSum, arg_slots[i]);
-          break;
-        case ast::AggFn::kCount:
-          group->AddAggOp(GroupByOp::AggOp::kCount);
-          break;
-        case ast::AggFn::kMin:
-          group->AddAggOp(GroupByOp::AggOp::kMin, arg_slots[i]);
-          break;
-        case ast::AggFn::kMax:
-          group->AddAggOp(GroupByOp::AggOp::kMax, arg_slots[i]);
-          break;
-        case ast::AggFn::kAvg:
-          VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
-      }
-    }
+    AddAggs(group.get(), arg_slots);
 
     std::vector<std::function<SqlValue(const Row&, size_t)>> decode;
     for (const Scalar& v : q_.values) decode.push_back(Decoder(v, env));
@@ -585,14 +657,7 @@ class Lowerer {
     group->Open();
     Row row;
     while (group->Next(&row)) {
-      bool pass = true;
-      for (const HavingPred& h : q_.having) {
-        if (!CmpApply(h.cmp, row[nkeys + h.agg], NumOperand(h.rhs))) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
+      if (!PassesHaving(row, nkeys)) continue;
       SqlRow out;
       out.reserve(nkeys + q_.aggs.size());
       for (size_t i = 0; i < nkeys; ++i)

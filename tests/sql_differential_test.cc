@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -24,7 +25,10 @@
 // Volcano interpreter (also through Session::Prepare, which compiles the
 // same text), under the spec-default parameter bindings. On top
 // of that, a seeded random-query sweep (sql/fuzz.h) differentially tests
-// the two lowerings against each other far outside the nine fixed shapes.
+// the two lowerings against each other far outside the nine fixed shapes,
+// and both against Volcano running the unrewritten plan of the same text
+// (no pushdown, FROM-order joins), so a wrong optimizer rewrite cannot
+// pass just because both engines run it the same way.
 
 namespace vcq {
 namespace {
@@ -118,16 +122,26 @@ size_t FuzzCount(size_t fallback) {
   return static_cast<size_t>(std::strtoull(env, nullptr, 10));
 }
 
-void FuzzSweep(const Database& db, uint64_t seed_base, size_t count) {
+/// Runs the sweep; `*pushed` counts the seeds whose plan pre-aggregates
+/// (the group-by pushdown fired).
+void FuzzSweep(const Database& db, uint64_t seed_base, size_t count,
+               size_t* pushed) {
   auto catalog = sql::MakeCatalog(db);
+  sql::OptimizerOptions unrewritten;
+  unrewritten.pushdown = false;
+  unrewritten.join_order = false;
   size_t compiled = 0;
+  *pushed = 0;
   for (uint64_t seed = seed_base; seed < seed_base + count; ++seed) {
     const std::string text = sql::GenerateFuzzQuery(*catalog, seed);
     sql::CompileResult c = sql::Compile(catalog, text);
-    ASSERT_TRUE(c.ok()) << "seed " << seed << " failed to compile:\n"
-                        << text << "\n"
-                        << (c.error ? c.error->Format() : "");
+    sql::CompileResult plain = sql::Compile(catalog, text, unrewritten);
+    ASSERT_TRUE(c.ok() && plain.ok())
+        << "seed " << seed << " failed to compile:\n"
+        << text << "\n"
+        << (c.error ? c.error->Format() : "");
     ++compiled;
+    if (c.query->plan().PreAggregated() != nullptr) ++*pushed;
     QueryOptions opt;
     opt.threads = (seed % 2 == 0) ? 1 : 4;
     const QueryResult tw = c.query->LowerTectorwise().Run(opt, {});
@@ -135,18 +149,29 @@ void FuzzSweep(const Database& db, uint64_t seed_base, size_t count) {
     vopt.threads = 1;
     const QueryResult volcano = c.query->RunVolcano(vopt, {});
     ASSERT_EQ(tw, volcano) << "seed " << seed << " diverged:\n" << text;
+    ASSERT_EQ(volcano, plain.query->RunVolcano(vopt, {}))
+        << "seed " << seed << " differs from the unrewritten plan:\n"
+        << text << "\n"
+        << c.query->ExplainOptimized();
   }
   // Every seed must yield a usable query — the generator has no reject
   // path, so a drop here means it left the supported subset.
   EXPECT_EQ(compiled, count);
+  std::printf("group-by pushdown fired in %zu of %zu seeds\n", *pushed,
+              count);
 }
 
 TEST(SqlFuzzDifferentialTest, TpchSeededSweep) {
-  FuzzSweep(TpchDb(), /*seed_base=*/1000, FuzzCount(200));
+  // The generator's key-grouped shapes (e.g. o_orderkey with aggregates
+  // over lineitem) must reach the group-by pushdown.
+  size_t pushed = 0;
+  FuzzSweep(TpchDb(), /*seed_base=*/1000, FuzzCount(200), &pushed);
+  EXPECT_GT(pushed, 0u);
 }
 
 TEST(SqlFuzzDifferentialTest, SsbSeededSweep) {
-  FuzzSweep(SsbDb(), /*seed_base=*/5000, FuzzCount(200) / 2);
+  size_t pushed = 0;
+  FuzzSweep(SsbDb(), /*seed_base=*/5000, FuzzCount(200) / 2, &pushed);
 }
 
 }  // namespace
