@@ -1,10 +1,7 @@
-// Ablation: the join build/probe memory path (ISSUE 3). Axes:
-//   * build protocol — the seed's global CAS pass vs the partition-parallel
-//     build (runtime::JoinBuild, BuildMode): disjoint bucket ranges, plain
-//     stores, contiguous bucket-ordered entry arena;
-//   * chain layout — CAS leaves entries scattered across worker MemPool
-//     chunks (pointer-chasing chains), the partitioned build relinks them
-//     into sequential arena runs;
+// Ablation: the join build/probe memory path. Axes:
+//   * build — runtime::JoinBuild (each worker copies its rows into its
+//     arena segment, then inserts them with directory prefetches) at 1
+//     and T threads, as ms and ns per build row;
 //   * probe staging — findCandidates vs the prefetch-staged
 //     JoinCandidatesStaged (relaxed operator fusion, paper §9.1);
 // swept over build-side cardinality (Fig. 9-style working-set axis). The
@@ -26,7 +23,6 @@
 namespace {
 
 using namespace vcq;
-using runtime::BuildMode;
 using runtime::EntryChunkList;
 using runtime::Hashmap;
 using runtime::JoinBuild;
@@ -41,7 +37,7 @@ struct Entry {
 };
 
 /// Build-side rows pre-materialized into per-worker chunk lists, so the
-/// measured region is exactly the insert protocol (what JoinBuild::Run
+/// measured region is exactly the build protocol (what JoinBuild::Run
 /// does), not the materialize phase.
 struct BuildInput {
   explicit BuildInput(size_t entries, size_t workers) : lists(workers) {
@@ -79,8 +75,7 @@ struct BuildInput {
   std::vector<EntryChunkList> lists;
 };
 
-double MeasureBuild(const BuildInput& input, BuildMode mode, size_t threads,
-                    int reps) {
+double MeasureBuild(const BuildInput& input, size_t threads, int reps) {
   return benchutil::Measure(
              [&] {
                Hashmap ht;
@@ -89,20 +84,20 @@ double MeasureBuild(const BuildInput& input, BuildMode mode, size_t threads,
                  EntryChunkList chunks = threads == 1
                                              ? input.Merged()
                                              : input.lists[wid];
-                 build.Run(mode, std::move(chunks), sizeof(Entry));
+                 build.Run(std::move(chunks), sizeof(Entry));
                });
              },
              reps)
       .ms;
 }
 
-/// One built table (either protocol) plus the probe working set.
+/// One built table plus the probe working set.
 struct Probe {
-  Probe(const BuildInput& input, BuildMode mode, size_t entries)
+  Probe(const BuildInput& input, size_t entries)
       : build(&ht, 1), hashes(kBatch), pos(kBatch), keys(kBatch),
         cand(kBatch), cand_pos(kBatch), match(kBatch), hits(kBatch),
         hit_pos(kBatch) {
-    build.Run(mode, input.Merged(), sizeof(Entry));
+    build.Run(input.Merged(), sizeof(Entry));
     rng.seed(42 + entries);
     range = 2 * entries;  // ~50% hit rate
   }
@@ -168,56 +163,50 @@ int main() {
   const int reps = benchutil::EnvReps(3);
   const size_t threads = benchutil::EnvThreads(0);
   benchutil::PrintHeader(
-      "Ablation: partition-parallel build + prefetch-staged probes",
+      "Ablation: join build + prefetch-staged probes",
       "join queries are bound by the hash-table memory path (Tab. 1, "
       "Fig. 4); ROF prefetching hides it (Sec. 9.1)",
       "threads=" + std::to_string(threads) +
-          "; CAS=global lock-free inserts (scattered chains), "
-          "part=bucket-range inserts (contiguous arena chains)");
+          "; build = per-worker arena copy + prefetched inserts "
+          "(runtime::JoinBuild)");
 
   std::vector<size_t> entry_counts = {1 << 14, 1 << 16, 1 << 18, 1 << 20,
                                       1 << 22};
   if (benchutil::Quick()) entry_counts = {1 << 12, 1 << 14};
 
-  benchutil::Table table({"entries", "ws_MB", "cas b1 ms", "part b1 ms",
-                          "cas bT ms", "part bT ms", "bT spdup",
-                          "probe cas ms", "probe part ms", "part+stage ms",
-                          "stage spdup"});
+  benchutil::Table table({"entries", "ws_MB", "b1 ms", "b1 ns/row",
+                          "bT ms", "bT ns/row", "bT spdup", "probe ms",
+                          "staged ms", "stage spdup"});
   for (const size_t entries : entry_counts) {
     BuildInput input(entries, threads);
+    const double b1 = MeasureBuild(input, 1, reps);
+    const double bt = MeasureBuild(input, threads, reps);
 
-    const double cas1 = MeasureBuild(input, BuildMode::kCas, 1, reps);
-    const double part1 =
-        MeasureBuild(input, BuildMode::kPartitioned, 1, reps);
-    const double cas_t = MeasureBuild(input, BuildMode::kCas, threads, reps);
-    const double part_t =
-        MeasureBuild(input, BuildMode::kPartitioned, threads, reps);
-
-    Probe cas_probe(input, BuildMode::kCas, entries);
-    Probe part_probe(input, BuildMode::kPartitioned, entries);
+    Probe probe(input, entries);
     const size_t batches = std::max<size_t>(1, entries / kBatch) * 4;
-    const double p_cas = MeasureProbe(cas_probe, false, batches, reps);
-    const double p_part = MeasureProbe(part_probe, false, batches, reps);
-    const double p_staged = MeasureProbe(part_probe, true, batches, reps);
+    const double p_plain = MeasureProbe(probe, false, batches, reps);
+    const double p_staged = MeasureProbe(probe, true, batches, reps);
 
     const double ws_mb =
-        static_cast<double>(cas_probe.ht.capacity() * sizeof(void*) +
+        static_cast<double>(probe.ht.capacity() * sizeof(void*) +
                             entries * sizeof(Entry)) /
         (1 << 20);
+    const auto ns_per_row = [entries](double ms) {
+      return ms * 1e6 / static_cast<double>(entries);
+    };
     table.AddRow({std::to_string(entries), benchutil::Fmt(ws_mb, 1),
-                  benchutil::Fmt(cas1, 2), benchutil::Fmt(part1, 2),
-                  benchutil::Fmt(cas_t, 2), benchutil::Fmt(part_t, 2),
-                  benchutil::Fmt(cas_t / part_t, 2),
-                  benchutil::Fmt(p_cas, 2), benchutil::Fmt(p_part, 2),
+                  benchutil::Fmt(b1, 2), benchutil::Fmt(ns_per_row(b1), 1),
+                  benchutil::Fmt(bt, 2), benchutil::Fmt(ns_per_row(bt), 1),
+                  benchutil::Fmt(b1 / bt, 2), benchutil::Fmt(p_plain, 2),
                   benchutil::Fmt(p_staged, 2),
-                  benchutil::Fmt(p_part / p_staged, 2)});
+                  benchutil::Fmt(p_plain / p_staged, 2)});
   }
   table.Print();
   std::printf(
-      "\nexpected shape: with several threads the partitioned build pulls "
-      "ahead of CAS (no bucket contention), contiguous arena chains probe "
-      "faster than scattered MemPool chains, and staged probes win once "
-      "the working set exceeds the LLC (prefetches hide the two dependent "
-      "misses per lookup).\n");
+      "\nexpected shape: build ns/row rises once the directory leaves the "
+      "caches and falls with threads (disjoint arena segments, CAS inserts "
+      "into one directory); staged probes win once the working set "
+      "exceeds the LLC (prefetches hide the two dependent misses per "
+      "lookup).\n");
   return 0;
 }

@@ -1,8 +1,8 @@
 // Ablation (paper §9.1 / PR 7): self-tuned execution. Every
-// data-dependent knob the paper sweeps by hand — compaction policy,
-// join-build protocol, ROF staged probes and their block size, vector
-// size — is learned per prepared query by runtime::Tuner (bounded
-// seed-deterministic exploration, then UCB1). This bench measures the
+// data-dependent knob the paper sweeps by hand — compaction policy, ROF
+// staged probes and their block size, vector size — is learned per
+// prepared query by runtime::Tuner (bounded seed-deterministic
+// exploration, then UCB1). This bench measures the
 // learned configuration against every static arm across selectivities
 // (Tectorwise Q6 via parameter bindings) and scale factors (Typer Q9),
 // checks byte-identity of results across all arms, and reports how close
@@ -26,7 +26,6 @@ using vcq::Engine;
 using vcq::PreparedQuery;
 using vcq::Query;
 using vcq::Session;
-using vcq::runtime::BuildMode;
 using vcq::runtime::CompactionMode;
 using vcq::runtime::QueryOptions;
 using vcq::runtime::QueryResult;
@@ -205,25 +204,18 @@ int main() {
               table, identical));
     }
 
-    // --- Typer Q9: build mode × ROF × block size across scale factors ------
+    // --- Typer Q9: ROF × block size across scale factors -----------------
     // The staged-probe payoff grows with the hash tables' working set, so
     // the best arm flips between fused and ROF as SF scales.
     std::vector<StaticVariant> ty;
     {
-      QueryOptions base;
-      base.threads = 1;
-      for (BuildMode bm : {BuildMode::kPartitioned, BuildMode::kCas}) {
-        const std::string bml =
-            bm == BuildMode::kCas ? "cas" : "partitioned";
-        QueryOptions o = base;
-        o.build_mode = bm;
-        ty.push_back({"fused build=" + bml, o});
-        for (size_t block : {size_t{128}, size_t{512}, size_t{1024}}) {
-          o.rof = true;
-          o.rof_block = block;
-          ty.push_back(
-              {"rof(" + std::to_string(block) + ") build=" + bml, o});
-        }
+      QueryOptions o;
+      o.threads = 1;
+      ty.push_back({"fused", o});
+      for (size_t block : {size_t{128}, size_t{512}, size_t{1024}}) {
+        o.rof = true;
+        o.rof_block = block;
+        ty.push_back({"rof(" + std::to_string(block) + ")", o});
       }
     }
     const std::string cell = "Typer Q9 sf=" + benchutil::Fmt(sf, 2);

@@ -159,8 +159,8 @@ std::vector<Query> QueriesFor(Workload workload) {
 
 size_t EstimatedBuildBytes(const runtime::Database& db, Query query) {
   // Per-entry cost covering the materialized entry (header + key +
-  // payload), its directory word, and the partitioned protocol's relink
-  // arena (which briefly doubles the entries). Deliberately generous:
+  // payload), its directory word, and the join build's entry arena (which
+  // briefly doubles the entries). Deliberately generous:
   // admission that queues a query which would have fit is a latency cost;
   // admission that lets a query overcommit defeats the budget.
   constexpr size_t kBytesPerBuildTuple = 64;

@@ -69,7 +69,7 @@ std::vector<Query> QueriesFor(Workload workload);
 /// `db`, in bytes: every build-side relation's tuple count (selectivity
 /// ignored — overestimating is the safe direction for admission) times a
 /// nominal per-entry cost covering the materialized entry, the directory
-/// word, and the partitioned build's relink arena. Session executions pass
+/// word, and the join build's entry arena. Session executions pass
 /// this to Scheduler::Admit so memory-aware admission queues or rejects a
 /// query whose build would overcommit the scheduler's memory budget
 /// instead of letting the ledger trip it mid-build.

@@ -104,15 +104,10 @@ size_t ArmIndexOf(std::vector<int64_t>& arms, int64_t value) {
 }
 
 /// Overlays the execution's query-level knob choices onto the options the
-/// engines read (Typer's build mode / ROF settings, Tectorwise's vector
-/// size). Per-plan-node choices flow separately through
-/// QueryOptions::knobs -> ExecContext.
+/// engines read (Typer's ROF settings, Tectorwise's vector size).
+/// Per-plan-node choices flow separately through QueryOptions::knobs ->
+/// ExecContext.
 void ApplyQueryKnobs(const KnobChoices& choices, QueryOptions& opt) {
-  if (const int64_t v = choices.Get(kQueryKnob, KnobKind::kBuildMode);
-      v != KnobChoices::kUnset) {
-    opt.build_mode = v == 0 ? runtime::BuildMode::kCas
-                            : runtime::BuildMode::kPartitioned;
-  }
   if (const int64_t v = choices.Get(kQueryKnob, KnobKind::kRof);
       v != KnobChoices::kUnset) {
     opt.rof = v != 0;
@@ -128,8 +123,8 @@ void ApplyQueryKnobs(const KnobChoices& choices, QueryOptions& opt) {
 }
 
 /// Registers the Tectorwise knob set — the global vector size plus one
-/// compaction/build-mode/ROF knob per eligible plan node — with the
-/// prepared options as the default arms. Shared by Prepare and PrepareSql:
+/// compaction/ROF knob per eligible plan node — with the prepared options
+/// as the default arms. Shared by Prepare and PrepareSql:
 /// a SQL-compiled plan exposes exactly the same tunable decisions as a
 /// catalog one.
 void RegisterTectorwiseKnobs(runtime::Tuner& tuner,
@@ -156,10 +151,6 @@ void RegisterTectorwiseKnobs(runtime::Tuner& tuner,
         break;
       }
       case NodeKind::kHashJoin:
-        tuner.RegisterKnob("tw.join#" + std::to_string(i) + ".build_mode", i,
-                           KnobKind::kBuildMode, {0, 1},
-                           opt.build_mode == runtime::BuildMode::kCas ? 0
-                                                                      : 1);
         tuner.RegisterKnob("tw.join#" + std::to_string(i) + ".rof", i,
                            KnobKind::kRof, {0, 1}, opt.rof ? 1 : 0);
         break;
@@ -527,8 +518,8 @@ struct PreparedQuery::Impl {
       ledger.EnableSpillMode();
     }
     // Tuned executions draw one arm per knob from the bandit, overlay the
-    // query-level arms onto the run options (Typer build mode / ROF,
-    // Tectorwise vector size), and hand the per-node arms + telemetry sink
+    // query-level arms onto the run options (Typer ROF, Tectorwise
+    // vector size), and hand the per-node arms + telemetry sink
     // to the engines. The draw is inside the try: the tuner's bookkeeping
     // allocates, so it is a named fault point of the managed run.
     KnobChoices choices;
@@ -1100,9 +1091,6 @@ PreparedQuery Session::Prepare(Engine engine, Query query,
         runtime::Tuner::ResolveSeed(options.tuner_seed));
     const QueryOptions& opt = impl->opt;
     if (engine == Engine::kTyper) {
-      tuner->RegisterKnob(
-          "typer.build_mode", kQueryKnob, KnobKind::kBuildMode, {0, 1},
-          opt.build_mode == runtime::BuildMode::kCas ? 0 : 1);
       tuner->RegisterKnob("typer.rof", kQueryKnob, KnobKind::kRof, {0, 1},
                           opt.rof ? 1 : 0);
       std::vector<int64_t> blocks{128, 256, 512, 1024};

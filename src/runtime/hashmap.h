@@ -15,7 +15,6 @@
 #include "runtime/barrier.h"
 #include "runtime/cancel.h"
 #include "runtime/fault_injector.h"
-#include "runtime/options.h"
 #include "runtime/resource_governor.h"
 #include "runtime/spill.h"
 #include "runtime/tuner.h"
@@ -108,15 +107,6 @@ class Hashmap {
                                          std::memory_order_relaxed));
   }
 
-  /// Partitioned-build bucket publish: one plain store of the chain head
-  /// plus the accumulated tag bits — no CAS. Only valid while the calling
-  /// thread exclusively owns `bucket` (disjoint bucket ranges,
-  /// runtime::JoinBuild).
-  void SetBucketOwned(size_t bucket, EntryHeader* head, uintptr_t tags) {
-    buckets_[bucket].store(reinterpret_cast<uintptr_t>(head) | tags,
-                           std::memory_order_relaxed);
-  }
-
   /// Single-threaded insert (no CAS); for serial builds and tests.
   void InsertUnlocked(EntryHeader* e) {
     std::atomic<uintptr_t>& slot = buckets_[BucketOf(e->hash)];
@@ -144,9 +134,8 @@ class Hashmap {
 /// Under spill pressure (runtime/spill.h) the owning engine may evict
 /// completed chunks to a SpillFile and release their memory: `spill` then
 /// holds the evicted rows (same stride, write order) and `total` counts
-/// only the live in-memory rows. JoinBuild streams the spilled segments
-/// back during the insert phase — spilling forces the kPartitioned
-/// protocol, whose two passes re-read the input anyway.
+/// only the live in-memory rows. JoinBuild reads the spilled segments
+/// back into its arena during the fill.
 struct EntryChunkList {
   std::vector<std::pair<std::byte*, size_t>> chunks;  // (base, row count)
   size_t total = 0;             // live rows (in the chunks above)
@@ -221,50 +210,61 @@ struct JoinBuildEnv {
 };
 
 /// Shared join-build protocol of both engines (one instance per hash table,
-/// one Run() call per worker). The materialize phase stays engine-specific;
-/// from the sizing barrier on, the path is common:
+/// one Run() call per worker), the morsel-driven build of paper §3.2 /
+/// Leis et al.: each worker materializes its build rows locally (the
+/// engine-specific phase), then
 ///
-///   kCas          every worker CAS-inserts its own rows into the shared
-///                 table — the seed protocol. Entries remain in the worker
-///                 MemPool chunks, so chains pointer-chase across them.
-///   kPartitioned  workers are assigned disjoint bucket ranges (by the hash
-///                 bits that select the bucket). Each worker histograms the
-///                 whole input for its range, the counts are prefix-summed
-///                 at a barrier, and each worker then copies its range's
-///                 rows into a contiguous bucket-ordered arena segment and
-///                 links them with plain stores: a bucket's chain is a
-///                 sequential run of rows, and no bucket word is ever
-///                 touched by two cores.
+///   sizing barrier  the last worker to arrive sums the per-worker row
+///                   counts (live + spilled) into the total and each
+///                   worker's arena segment offset, sizes the directory and
+///                   allocates one arena of total × stride bytes;
+///   fill            each worker copies its own rows into its own segment
+///                   with sequential writes (spilled segments first, then
+///                   live chunks), then inserts that segment's entries —
+///                   CAS Insert, or InsertUnlocked when the build has one
+///                   worker — prefetching the directory word of the entry
+///                   kPrefetchDistance rows ahead;
+///   final barrier   the table is complete; probes may start.
 ///
-/// The arena is owned here and must outlive the probes (both engines keep
-/// the JoinBuild alive for the query). Chain contents are identical across
-/// modes (same entries per bucket, same tag bits); only chain order and
-/// entry placement differ, which no studied query observes.
+/// Why copy instead of inserting the entries where they were
+/// materialized: the copy frees the engines' materialize pools after the
+/// build (their 1 MiB chunks would otherwise stay resident through the
+/// probe, which matters for small builds under a memory budget), lets
+/// spilled rows be read straight into their final place, and keeps every
+/// entry of one worker in one sequential run. The arena is owned here and
+/// must outlive the probes (both engines keep the JoinBuild alive for the
+/// query). Chain contents (entries per bucket, tag bits) do not depend on
+/// the thread count; only the chain order does, which no studied query
+/// observes.
 ///
 /// Failure containment (JoinBuildEnv with a token): a worker whose phase
-/// throws — injected fault, real bad_alloc from the directory/arena — marks
-/// the build poisoned, Fail()s the token, and the exception never crosses a
-/// barrier: the sizing/offset/final waits are token-aware
+/// throws — injected fault, real bad_alloc from the directory/arena, a
+/// failed spill read — marks the build poisoned, Fail()s the token, and
+/// the exception never crosses a barrier: both waits are token-aware
 /// (Barrier::WaitOrAbort), so surviving workers abort instead of blocking
-/// on the dead one, skip the guarded phases, and drain. The poisoned table
-/// is never probed (the probing region observes the sticky trip before
-/// claiming any morsel) and all charged bytes return on destruction.
-/// Without a token the seed contract stands: an exception propagates and
-/// the run fails fast.
+/// on the dead one, skip the fill, and drain. The poisoned table is never
+/// probed (the probing region observes the sticky trip before claiming
+/// any morsel) and all charged bytes return on destruction. Without a
+/// token the seed contract stands: an exception propagates and the run
+/// fails fast.
 class JoinBuild {
  public:
+  /// Rows between an entry's directory-word prefetch and its insert.
+  static constexpr size_t kPrefetchDistance = 16;
+
   JoinBuild(Hashmap* ht, size_t threads, JoinBuildEnv env = {})
       : ht_(ht), threads_(threads), env_(env), barrier_(threads),
-        published_(threads), seg_counts_(threads), seg_offsets_(threads + 1) {}
+        published_(threads), seg_offsets_(threads + 1) {}
 
   ~JoinBuild() {
     if (env_.ledger != nullptr && charged_ > 0) env_.ledger->Uncharge(charged_);
   }
 
-  /// Executes the insert protocol for one worker: publishes `chunks`, meets
-  /// the barrier that sizes the table, and inserts according to `mode`.
-  /// `stride` is the row size (identical across workers).
-  void Run(BuildMode mode, EntryChunkList chunks, size_t stride) {
+  /// Executes the build protocol for one worker: publishes `chunks`, meets
+  /// the barrier that sizes the table, then copies and inserts its rows.
+  /// `stride` is the row size (identical across workers). After Run
+  /// returns no entry references `chunks`, so the caller may free them.
+  void Run(EntryChunkList chunks, size_t stride) {
     const size_t wid = arrivals_.fetch_add(1, std::memory_order_relaxed);
     VCQ_CHECK_MSG(wid < threads_, "JoinBuild::Run called more often than the "
                                   "thread count it was built for");
@@ -275,24 +275,17 @@ class JoinBuild {
           // The on_last body must not leak an exception through the
           // barrier on managed runs: followers would be released believing
           // the table was sized. Poison instead, so every worker skips the
-          // insert phase, and re-raise only on unmanaged builds.
+          // fill, and re-raise only on unmanaged builds.
           try {
             FaultHit(env_.fault, "join_build.size", env_.cancel);
             start_ns_ = JoinBuildTelemetry::NowNs();
             stride_ = stride;
-            total_ = 0;
-            bool any_spilled = false;
-            for (const EntryChunkList& list : published_) {
-              total_ += list.total + list.spilled_rows;
-              any_spilled |= list.spilled_rows > 0;
+            seg_offsets_[0] = 0;
+            for (size_t w = 0; w < threads_; ++w) {
+              seg_offsets_[w + 1] = seg_offsets_[w] + published_[w].total +
+                                    published_[w].spilled_rows;
             }
-            // Spilled rows force the partitioned protocol: kCas inserts
-            // entries in place in the worker chunks, which spilled rows no
-            // longer have — the partitioned passes stream every row (live
-            // or spilled) into the arena regardless of where it lives.
-            effective_mode_.store(
-                any_spilled ? BuildMode::kPartitioned : mode,
-                std::memory_order_release);
+            total_ = seg_offsets_[threads_];
             // Budget-aware sizing: the directory and arena are the build's
             // big allocations, so re-check the token between them — a
             // budget already tripped by the materialize phase (or by the
@@ -303,15 +296,12 @@ class JoinBuild {
             }
             ht_->SetSize(total_);
             Charge(ht_->capacity() * sizeof(uintptr_t));
-            if (effective_mode_.load(std::memory_order_relaxed) ==
-                BuildMode::kPartitioned) {
-              if (Interrupted(env_.cancel)) {
-                poisoned_.store(true, std::memory_order_release);
-                return;
-              }
-              arena_.reset(new std::byte[total_ * stride_]);
-              Charge(total_ * stride_);
+            if (Interrupted(env_.cancel)) {
+              poisoned_.store(true, std::memory_order_release);
+              return;
             }
+            arena_.reset(new std::byte[total_ * stride_]);
+            Charge(total_ * stride_);
           } catch (...) {
             poisoned_.store(true, std::memory_order_release);
             FailCurrentException(env_.cancel);
@@ -324,17 +314,7 @@ class JoinBuild {
         !poisoned_.load(std::memory_order_acquire)) {
       try {
         FaultHit(env_.fault, "join_build.insert", env_.cancel);
-        if (effective_mode_.load(std::memory_order_acquire) ==
-            BuildMode::kCas) {
-          for (const auto& [base, rows] : published_[wid].chunks) {
-            for (size_t k = 0; k < rows; ++k) {
-              ht_->Insert(
-                  reinterpret_cast<Hashmap::EntryHeader*>(base + k * stride_));
-            }
-          }
-        } else {
-          InsertPartition(wid);
-        }
+        Fill(wid);
         FaultHit(env_.fault, "join_build.finish", env_.cancel);
       } catch (...) {
         poisoned_.store(true, std::memory_order_release);
@@ -350,14 +330,9 @@ class JoinBuild {
           if (env_.telemetry != nullptr && total_ > 0) {
             env_.telemetry->RecordSpan(env_.site, span, total_);
           }
-          // After a partitioned build every entry lives in the arena, so
-          // the published chunk lists are dead; drop them so the engines
-          // can free the materialize-phase MemPool chunks they point into
-          // (ROADMAP: ~2x transient build-side memory otherwise).
-          if (effective_mode_.load(std::memory_order_relaxed) ==
-              BuildMode::kPartitioned) {
-            for (EntryChunkList& list : published_) list = EntryChunkList{};
-          }
+          // Every entry now lives in the arena: drop the chunk lists that
+          // point into the engines' materialize pools.
+          for (EntryChunkList& list : published_) list = EntryChunkList{};
         },
         env_.cancel);
   }
@@ -367,128 +342,44 @@ class JoinBuild {
   /// the probing region never starts).
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
 
-  /// True when probes only ever walk the contiguous arena, i.e. the
-  /// materialize-phase chunks handed to Run() are no longer referenced and
-  /// their memory can be released by the owning engine.
-  static bool ReleasesChunks(BuildMode mode) {
-    return mode == BuildMode::kPartitioned;
-  }
-
-  /// Instance flavor of ReleasesChunks, reflecting the EFFECTIVE protocol
-  /// of this build: a kCas request is upgraded to kPartitioned when any
-  /// worker spilled (decided under the sizing barrier), so engines must
-  /// consult the build, not the requested mode, before freeing their
-  /// materialize pools. Valid after Run returns; a build that failed
-  /// before sizing reports kPartitioned (releasing is safe — a poisoned
-  /// table is never probed).
-  bool releases_chunks() const {
-    return effective_mode_.load(std::memory_order_acquire) ==
-           BuildMode::kPartitioned;
-  }
-
   /// Total build-side rows (valid after Run returns).
   size_t entry_count() const { return total_; }
-  /// Bucket-ordered entry arena (kPartitioned only; nullptr for kCas).
+  /// Entry arena holding every row (worker segments in worker order).
   const std::byte* arena() const { return arena_.get(); }
 
  private:
-  /// Bucket range owned by worker `wid` (contiguous, covers the table).
-  std::pair<size_t, size_t> RangeOf(size_t wid) const {
-    const size_t cap = ht_->capacity();
-    return {wid * cap / threads_, (wid + 1) * cap / threads_};
-  }
-
-  /// Streams every row of `list` — spilled segments first (re-read through
-  /// `scratch` in write order), then the live chunks — through `fn`. Both
-  /// partition passes already re-scan the whole input, so spilled rows just
-  /// add a sequential file read per pass; each worker reads every file
-  /// (O(T·N), same complexity as the existing chunk-list scans).
-  template <typename Fn>
-  void ForEachRow(const EntryChunkList& list, std::vector<std::byte>& scratch,
-                  Fn&& fn) const {
+  /// Copies worker `wid`'s rows into its arena segment — spilled segments
+  /// read straight into place in write order, then the live chunks — and
+  /// inserts them.
+  void Fill(size_t wid) {
+    std::byte* const seg = arena_.get() + seg_offsets_[wid] * stride_;
+    const size_t rows = seg_offsets_[wid + 1] - seg_offsets_[wid];
+    const EntryChunkList& list = published_[wid];
+    std::byte* dst = seg;
     if (list.spill != nullptr && list.spilled_rows > 0) {
-      for (const SpillFile::Segment& seg : list.spill->segments()) {
-        scratch.resize(seg.bytes);
-        list.spill->Read(seg, scratch.data());
-        for (size_t k = 0; k < seg.rows; ++k) fn(scratch.data() + k * stride_);
+      for (const SpillFile::Segment& s : list.spill->segments()) {
+        list.spill->Read(s, dst);
+        dst += s.bytes;
       }
     }
-    for (const auto& [base, rows] : list.chunks) {
-      for (size_t k = 0; k < rows; ++k) fn(base + k * stride_);
+    for (const auto& [base, n] : list.chunks) {
+      std::memcpy(dst, base, n * stride_);
+      dst += n * stride_;
     }
-  }
-
-  void InsertPartition(size_t wid) {
-    const auto [lo, hi] = RangeOf(wid);
-    std::vector<std::byte> scratch;
-    // Pass 1: histogram this worker's bucket range over the whole input,
-    // accumulating each bucket's tag bits along the way.
-    std::vector<uint32_t> hist(hi - lo, 0);
-    std::vector<uintptr_t> tags(hi - lo, 0);
-    size_t mine = 0;
-    for (const EntryChunkList& list : published_) {
-      ForEachRow(list, scratch, [&](const std::byte* row) {
-        const auto* e = reinterpret_cast<const Hashmap::EntryHeader*>(row);
-        const size_t b = ht_->BucketOf(e->hash);
-        if (b - lo < hi - lo) {
-          ++hist[b - lo];
-          tags[b - lo] |= Hashmap::TagOf(e->hash);
-          ++mine;
-        }
-      });
-    }
-    seg_counts_[wid] = mine;
-    const BarrierStatus offsets = barrier_.WaitOrAbort(
-        [&] {
-          seg_offsets_[0] = 0;
-          for (size_t w = 0; w < threads_; ++w)
-            seg_offsets_[w + 1] = seg_offsets_[w] + seg_counts_[w];
-        },
-        env_.cancel);
-    // An abort here means some sibling died before arriving (its histogram
-    // never landed in seg_counts_): the offsets were never computed, so
-    // writing the arena would scribble over other workers' segments. Bail;
-    // the caller's final barrier also aborts on the same sticky trip.
-    if (offsets == BarrierStatus::kAborted ||
-        poisoned_.load(std::memory_order_acquire)) {
-      return;
-    }
-
-    // Per-bucket arena row offsets (exclusive prefix over the histogram,
-    // starting at this worker's segment); each non-empty bucket's word is
-    // published once — chain head plus accumulated tags.
-    std::vector<size_t> start(hi - lo);
-    size_t off = seg_offsets_[wid];
-    for (size_t j = 0; j < hi - lo; ++j) {
-      start[j] = off;
-      off += hist[j];
-      if (hist[j] > 0) {
-        ht_->SetBucketOwned(lo + j,
-                            reinterpret_cast<Hashmap::EntryHeader*>(
-                                arena_.get() + start[j] * stride_),
-                            tags[j]);
+    const auto entry = [&](size_t k) {
+      return reinterpret_cast<Hashmap::EntryHeader*>(seg + k * stride_);
+    };
+    for (size_t k = 0; k < rows; ++k) {
+      if (k + kPrefetchDistance < rows) {
+        __builtin_prefetch(
+            ht_->buckets() + ht_->BucketOf(entry(k + kPrefetchDistance)->hash),
+            1, 1);
       }
-    }
-
-    // Pass 2: copy + link. A bucket's rows are consecutive, so each
-    // entry's successor is simply the next arena row.
-    std::vector<uint32_t> filled(hi - lo, 0);
-    for (const EntryChunkList& list : published_) {
-      ForEachRow(list, scratch, [&](const std::byte* src) {
-        const uint64_t hash =
-            reinterpret_cast<const Hashmap::EntryHeader*>(src)->hash;
-        const size_t b = ht_->BucketOf(hash);
-        if (b - lo >= hi - lo) return;
-        const size_t j = b - lo;
-        const size_t slot = start[j] + filled[j]++;
-        std::byte* dst = arena_.get() + slot * stride_;
-        std::memcpy(dst, src, stride_);
-        auto* header = reinterpret_cast<Hashmap::EntryHeader*>(dst);
-        header->next =
-            filled[j] < hist[j]
-                ? reinterpret_cast<Hashmap::EntryHeader*>(dst + stride_)
-                : nullptr;
-      });
+      if (threads_ == 1) {
+        ht_->InsertUnlocked(entry(k));
+      } else {
+        ht_->Insert(entry(k));
+      }
     }
   }
 
@@ -505,14 +396,11 @@ class JoinBuild {
   const size_t threads_;
   JoinBuildEnv env_;
   std::atomic<bool> poisoned_{false};
-  // Effective protocol: the requested mode, upgraded to kPartitioned when
-  // any worker spilled (written once under the sizing barrier's on_last).
-  std::atomic<BuildMode> effective_mode_{BuildMode::kPartitioned};
   size_t charged_ = 0;  // written only under the sizing barrier's on_last
   Barrier barrier_;
   std::atomic<size_t> arrivals_{0};
   std::vector<EntryChunkList> published_;
-  std::vector<size_t> seg_counts_;
+  // Worker w's rows are arena rows [seg_offsets_[w], seg_offsets_[w + 1]).
   std::vector<size_t> seg_offsets_;
   size_t stride_ = 0;
   size_t total_ = 0;

@@ -18,9 +18,9 @@ namespace vcq::runtime {
 /// so entry allocation during parallel builds is contention-free; the pools
 /// are kept alive by the operator that owns the hash table. Memory is
 /// reclaimed wholesale — when the pool dies, or early via Release() once
-/// the rows have been relocated elsewhere (the partitioned join build
-/// copies every entry into its contiguous arena, after which the
-/// materialize-phase chunks here are dead weight).
+/// the rows have been relocated elsewhere (the join build copies every
+/// entry into its arena, after which the materialize-phase chunks here are
+/// dead weight).
 ///
 /// Resource governance: Bind() attaches the run's QueryLedger and
 /// FaultInjector. Every chunk the pool grows by is charged to the ledger
@@ -101,8 +101,8 @@ class MemPool {
   /// (or Release after the unwind of a failed build already ran it) is a
   /// no-op: owned_bytes_ is zeroed with the chunks, so neither
   /// live_bytes() nor the ledger can be double-decremented, and the next
-  /// Grow() re-charges from a clean slate. Called by the join builds once
-  /// a partitioned insert has relocated all entries into its arena.
+  /// Grow() re-charges from a clean slate. Called by both engines' join
+  /// builds once runtime::JoinBuild has copied every entry into its arena.
   void Release() {
     live_bytes_.fetch_sub(owned_bytes_, std::memory_order_relaxed);
     // Only bytes grown while bound were charged — a pool can grow before
@@ -123,9 +123,9 @@ class MemPool {
   size_t owned_bytes() const { return owned_bytes_; }
 
   /// Process-wide bytes currently held by all live MemPool chunks — the
-  /// transient-build-memory counter hashmap_test asserts on: after a
-  /// partitioned build releases its materialize chunks this drops back,
-  /// while a CAS build (whose chains live in the chunks) keeps them. The
+  /// transient-build-memory counter hashmap_test asserts on: once a join
+  /// build has copied its rows into its arena and the engine released the
+  /// materialize pools, this is back at its pre-materialize value. The
   /// fault-injection sweep asserts it returns to baseline after every
   /// failed query.
   static size_t live_bytes() {

@@ -27,21 +27,6 @@ enum class TraceLevel : uint8_t { kOff, kSpans };
 /// (mapped onto tectorwise::CompactionPolicy by the plan builders).
 enum class CompactionMode { kNever, kAlways, kAdaptive };
 
-/// How join hash tables are filled from the workers' materialized build
-/// rows (both engines share the protocol; see runtime::JoinBuild):
-///   kCas          one global pass of lock-free CAS inserts; entries stay
-///                 scattered across the worker MemPool chunks (the paper's
-///                 §3.2 protocol and this repo's seed behavior).
-///   kPartitioned  each worker owns a disjoint bucket range and fills it
-///                 with plain stores — no CAS, no cross-core bucket
-///                 contention — relinking the range's entries into a
-///                 contiguous bucket-ordered arena so probe chains walk
-///                 sequential memory.
-/// Both modes produce identical chain contents; kPartitioned trades one
-/// extra scan of the materialized rows per worker for contention-free
-/// inserts and cache-friendly chains.
-enum class BuildMode { kCas, kPartitioned };
-
 /// Whether prepared-query executions consult the per-PreparedQuery
 /// runtime::Tuner for execution knobs (see runtime/tuner.h):
 ///   kOff     every knob comes from the static QueryOptions fields below —
@@ -130,12 +115,6 @@ struct QueryOptions {
   /// switches to the prefetch-staged variant (JoinCandidatesStaged), which
   /// plays the same trick inside each vector.
   bool rof = false;
-  /// Join hash-table build protocol, honored by both engines (see
-  /// runtime::BuildMode / runtime::JoinBuild). kPartitioned is the default:
-  /// contention-free partition-parallel inserts into a contiguous
-  /// bucket-ordered entry arena. kCas restores the seed's global CAS pass
-  /// (the ablation baseline; bench/ablation_partitioned_build).
-  BuildMode build_mode = BuildMode::kPartitioned;
   /// Batch compaction at the sparse points of the vectorized pipeline
   /// (Select output, hash-join probe output, group-by input); Tectorwise
   /// only. See tectorwise::CompactionPolicy.

@@ -29,7 +29,6 @@ const char* KindName(KnobKind kind) {
   switch (kind) {
     case KnobKind::kVectorSize: return "vector_size";
     case KnobKind::kCompaction: return "compaction";
-    case KnobKind::kBuildMode: return "build_mode";
     case KnobKind::kRof: return "rof";
     case KnobKind::kRofBlock: return "rof_block";
   }
@@ -42,8 +41,6 @@ std::string ArmLabel(KnobKind kind, int64_t value) {
       if (value == kCompactionNever) return "never";
       if (value == kCompactionAlways) return "always";
       return "adaptive(1/" + std::to_string(value) + ")";
-    case KnobKind::kBuildMode:
-      return value == 0 ? "cas" : "partitioned";
     case KnobKind::kRof:
       return value == 0 ? "off" : "on";
     default:

@@ -12,8 +12,8 @@
 
 // Self-tuning execution (paper §9.1: the optimizer, not the engineer,
 // should pick execution strategies). Every data- and machine-dependent
-// execution knob — compaction policy per Select/group point, join build
-// protocol, ROF staged probes and their block size, vector size — becomes
+// execution knob — compaction policy per Select/group point, ROF staged
+// probes and their block size, vector size — becomes
 // a TunableKnob with a discrete arm set, and a per-PreparedQuery Tuner
 // learns the best arm from measured execution cost across repeated
 // executions (the whole point of the Session API).
@@ -49,13 +49,12 @@ enum class KnobKind : uint8_t {
   kVectorSize,  ///< Tectorwise vector size (per plan).
   kCompaction,  ///< Compaction arm at one Select/group point (encoding
                 ///< below) or, for Typer, unused.
-  kBuildMode,   ///< runtime::BuildMode as int (0 = kCas, 1 = kPartitioned).
   kRof,         ///< staged (ROF) probes on/off (0/1).
   kRofBlock,    ///< staged-probe block size in tuples.
 };
 
-/// Node id used for per-query (not per-plan-node) knobs: Typer's build
-/// mode / ROF settings and the per-plan vector size.
+/// Node id used for per-query (not per-plan-node) knobs: Typer's ROF
+/// settings and the per-plan vector size.
 inline constexpr uint32_t kQueryKnob = UINT32_MAX;
 
 /// Compaction arm encoding (KnobKind::kCompaction): 0 = kNever,

@@ -72,9 +72,6 @@ struct ExecContext {
   /// column, so only truly sparse batches are worth copying. Values >= 1.0
   /// make kAdaptive behave like kAlways, <= 0.0 like kNever.
   double compaction_threshold = 1.0 / 64;
-  /// Join hash-table build protocol (runtime::JoinBuild); plan nodes can
-  /// override it per join (JoinNode::SetBuildMode).
-  runtime::BuildMode build_mode = runtime::BuildMode::kPartitioned;
   /// Relaxed operator fusion (paper §9.1): HashJoin probes use the
   /// prefetch-staged findCandidates variant (JoinCandidatesStaged).
   bool rof = false;

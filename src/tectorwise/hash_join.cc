@@ -13,8 +13,7 @@ HashJoin::HashJoin(Shared* shared, std::unique_ptr<Operator> build,
     : shared_(shared),
       build_(std::move(build)),
       probe_(std::move(probe)),
-      ctx_(ctx),
-      build_mode_(ctx.build_mode) {
+      ctx_(ctx) {
   // Governed runs charge materialize-phase chunks to the query ledger and
   // expose the allocation as a named fault point.
   pool_.Bind(ctx_.ledger, ctx_.fault, "tw.join.materialize");
@@ -58,13 +57,10 @@ void HashJoin::BuildPhase() {
       step(n, pos, base, stride);
     chunks_.Add(base, n);
   }
-  shared_->build.Run(build_mode_, std::move(chunks_), stride);
-  // Under the partitioned protocol every entry was relinked into the
-  // shared contiguous arena, so this worker's materialize-phase chunks are
-  // unreachable from any chain — free them instead of carrying ~2x the
-  // build side through the probe phase. Ask the build, not the requested
-  // mode: spilling upgrades kCas builds to the partitioned protocol.
-  if (shared_->build.releases_chunks()) pool_.Release();
+  shared_->build.Run(std::move(chunks_), stride);
+  // Every entry now lives in the build's arena: free this worker's
+  // materialize-phase chunks instead of carrying them through the probe.
+  pool_.Release();
   built_ = true;
 }
 

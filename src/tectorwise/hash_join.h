@@ -24,11 +24,10 @@ namespace vcq::tectorwise {
 /// Build: each worker drains its build child, materializes key+payload rows
 /// into arena-allocated entries (probeHash-style expressions compute the
 /// hashes; scatter primitives fill the rows), then hands its chunk list to
-/// the shared runtime::JoinBuild, which sizes the table at a barrier and
-/// inserts — either with the seed's global CAS pass or, by default, the
-/// partition-parallel protocol that relinks entries into a contiguous
-/// bucket-ordered arena (BuildMode, paper §6.1's shared-state + barrier
-/// scheme).
+/// the shared runtime::JoinBuild, which sizes the table at a barrier, then
+/// has each worker copy its rows into its segment of one entry arena and
+/// insert them (paper §6.1's shared-state + barrier scheme). The worker's
+/// materialize pool is freed right after.
 ///
 /// Probe: hash primitives -> findCandidates (Bloom-tagged directory;
 /// prefetch-staged variant under ctx.rof, paper §9.1) -> compareKeys
@@ -69,9 +68,6 @@ class HashJoin : public Operator {
   void AddBuildRehash(RehashStep step) {
     build_rehash_.push_back(std::move(step));
   }
-  /// Overrides the build protocol for this join (default: ctx.build_mode).
-  /// All workers' HashJoin instances of one Shared must agree.
-  void SetBuildMode(runtime::BuildMode mode) { build_mode_ = mode; }
 
   // --- probe-side configuration -----------------------------------------
 
@@ -171,7 +167,6 @@ class HashJoin : public Operator {
   std::vector<Output> outputs_;
 
   size_t entry_bytes_ = sizeof(runtime::Hashmap::EntryHeader);
-  runtime::BuildMode build_mode_;
   runtime::MemPool pool_;  // worker-local entry storage (materialize phase)
   runtime::EntryChunkList chunks_;
   bool built_ = false;

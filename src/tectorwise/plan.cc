@@ -17,7 +17,6 @@ ExecContext MakeContext(const runtime::QueryOptions& opt) {
   ctx.use_simd = opt.simd;
   ctx.compaction = ToPolicy(opt.compaction);
   ctx.compaction_threshold = opt.compaction_threshold;
-  ctx.build_mode = opt.build_mode;
   ctx.rof = opt.rof;
   ctx.cancel = opt.cancel;
   ctx.ledger = opt.ledger;
@@ -33,9 +32,8 @@ namespace {
 
 /// The plan context with node `index`'s tuner choices overlaid (see
 /// runtime/tuner.h). Every operator that reads these fields copies the
-/// context at construction, so a per-node local is safe — and required:
-/// all workers derive the same overlay from the shared KnobChoices, which
-/// keeps per-Shared agreement (e.g. HashJoin build mode) intact.
+/// context at construction, so a per-node local is safe; all workers
+/// derive the same overlay from the shared KnobChoices.
 ExecContext NodeContext(const ExecContext& base, uint32_t index) {
   if (base.knobs == nullptr && base.trace == nullptr) return base;
   using runtime::KnobChoices;
@@ -55,11 +53,6 @@ ExecContext NodeContext(const ExecContext& base, uint32_t index) {
       ctx.compaction = CompactionPolicy::kAdaptive;
       ctx.compaction_threshold = 1.0 / static_cast<double>(v);
     }
-  }
-  if (const int64_t v = base.knobs->Get(index, KnobKind::kBuildMode);
-      v != KnobChoices::kUnset) {
-    ctx.build_mode = v == 0 ? runtime::BuildMode::kCas
-                            : runtime::BuildMode::kPartitioned;
   }
   if (const int64_t v = base.knobs->Get(index, KnobKind::kRof);
       v != KnobChoices::kUnset) {
@@ -216,8 +209,8 @@ std::unique_ptr<Operator> MapNode::Instantiate(
 
 std::shared_ptr<void> JoinNode::MakeShared(
     const runtime::QueryOptions& opt) const {
-  // The build's wall span is recorded under this node's index — the
-  // per-node reward for the join's build-mode knob.
+  // The build's wall span is recorded under this node's index (EXPLAIN
+  // ANALYZE's build/probe split; the tuner's per-node reward).
   return std::make_shared<HashJoin::Shared>(
       opt.threads, runtime::JoinBuildEnv{opt.cancel, opt.fault, opt.ledger,
                                          opt.telemetry, index_});
@@ -612,23 +605,24 @@ void Plan::Run(const runtime::QueryOptions& opt,
   for (const uint32_t id : result_) is_result[id] = true;
 
   std::mutex mu;
-  // Trees stay alive until every worker has finished: probe pipelines read
-  // hash-table entries owned by other workers' operators.
+  // Trees stay alive until every worker has finished, also when a worker
+  // fails: probe pipelines and the group merge read entries owned by other
+  // workers' operators.
   std::vector<std::unique_ptr<Operator>> roots(opt.threads);
   runtime::PoolFor(opt).Run(opt, work_hint_, [&](size_t wid) {
     plan_internal::Workspace ws{ctx,     wid,     opt.threads, &columns_,
                                 &shared, &params, {}};
     ws.slots.resize(columns_.size(), nullptr);
     // Through the dispatcher so the root is traced like every other node.
-    auto root = PlanNode::InstantiateNode(*nodes_[root_], ws);
+    roots[wid] = PlanNode::InstantiateNode(*nodes_[root_], ws);
+    Operator& root = *roots[wid];
     size_t n;
-    while ((n = root->Next()) != kEndOfStream) {
+    while ((n = root.Next()) != kEndOfStream) {
       if (n == 0) continue;
-      const Batch batch(&ws.slots, &is_result, n, root->sel());
+      const Batch batch(&ws.slots, &is_result, n, root.sel());
       std::lock_guard<std::mutex> lock(mu);
       collect(batch);
     }
-    roots[wid] = std::move(root);
   });
   roots.clear();
 }
@@ -758,8 +752,8 @@ std::string ExplainAnalyzeTree(const Plan& plan,
           out += buf;
         }
         // The join build's wall span arrives through the trace's embedded
-        // NodeTelemetry — the exact numbers the tuner's build-mode knob
-        // learns from (runtime/hashmap.h records them once).
+        // NodeTelemetry — the same numbers the tuner reads
+        // (runtime/hashmap.h records them once).
         const runtime::NodeTelemetry& telemetry = trace.node_telemetry();
         if (info.kind == NodeKind::kHashJoin && telemetry.HasSpan(index)) {
           const uint64_t build_ns = telemetry.SpanNs(index);

@@ -677,18 +677,6 @@ class JoinNode : public PlanNode {
     return out;
   }
 
-  /// Overrides the join build protocol for this node; without it the join
-  /// follows the run's QueryOptions.build_mode. EXPLAIN shows the override.
-  JoinNode& SetBuildMode(runtime::BuildMode mode) {
-    Detail(std::string("build mode: ") +
-           (mode == runtime::BuildMode::kCas ? "cas" : "partitioned"));
-    config_.push_back([mode](const ExecContext&, HashJoin& join,
-                             plan_internal::Workspace&, FieldMap&) {
-      join.SetBuildMode(mode);
-    });
-    return *this;
-  }
-
   /// Carries a probe-side column across the join (hit-position gather).
   template <typename T>
   ColumnRef Probe(ColumnRef probe_col) {

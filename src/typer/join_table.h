@@ -28,28 +28,21 @@ inline constexpr size_t kRofMaxBlock = 1024;
 /// materializes entries into worker-local chunk arenas, then hands them to
 /// the shared runtime::JoinBuild — the same build protocol the Tectorwise
 /// HashJoin uses over the same runtime::Hashmap (paper §3.2: "the same data
-/// structures"). Under the default BuildMode::kPartitioned each worker owns
-/// a disjoint bucket range and relinks its range's entries into a
-/// contiguous bucket-ordered arena with plain stores; BuildMode::kCas is
-/// the seed's global lock-free CAS pass.
+/// structures"). The build copies every entry into its own arena, so each
+/// worker frees its materialize pool as soon as the build is done.
 ///
 /// Entry must begin with a runtime::Hashmap::EntryHeader member `header`;
 /// the producer sets `header.hash` before emitting.
 template <typename Entry>
 class JoinTable {
   static_assert(std::is_trivially_copyable_v<Entry>,
-                "the partitioned build relocates entries bytewise");
+                "the join build relocates entries bytewise");
 
  public:
   /// `site` is this build's NodeTelemetry slot (a per-query build ordinal);
   /// only meaningful on tuned runs where opt.telemetry is set.
   explicit JoinTable(const runtime::QueryOptions& opt, uint32_t site = 0)
-      : threads_(opt.threads),
-        mode_(opt.build_mode),
-        ledger_(opt.ledger),
-        spill_mgr_(opt.spill_manager),
-        pool_(&runtime::PoolFor(opt)),
-        region_{opt.sched_stream, 0, opt.cancel},
+      : opt_(opt),
         build_(&ht, opt.threads,
                runtime::JoinBuildEnv{opt.cancel, opt.fault, opt.ledger,
                                      opt.telemetry, site}),
@@ -62,14 +55,13 @@ class JoinTable {
   }
 
   /// produce(worker_id, emit) appends build tuples via emit(const Entry&);
-  /// runs one parallel region covering materialize + insert. `work` is the
-  /// region's input size in tuples — the scheduler's
+  /// runs one parallel region covering materialize + insert, on the run's
+  /// stream and cancel token and traced like every other pipeline. `work`
+  /// is the region's input size in tuples — the scheduler's
   /// shortest-remaining-region hint (0 = unknown).
   template <typename ProduceFn>
   void Build(ProduceFn&& produce, size_t work = 0) {
-    runtime::RegionInfo region = region_;
-    region.work = work;
-    pool_->Run(threads_, [&](size_t wid) {
+    runtime::PoolFor(opt_).Run(opt_, work, [&](size_t wid) {
       runtime::EntryChunkList list;
       Entry* block = nullptr;
       size_t used = kChunkRows;
@@ -79,10 +71,10 @@ class JoinTable {
           // Chunk boundary — every materialized chunk is complete, the one
           // safe point to relieve memory pressure: spill the finished
           // chunks and release the pool before growing it again.
-          if (spill_mgr_ != nullptr && !list.chunks.empty() &&
-              ledger_ != nullptr && ledger_->UnderPressure()) {
+          if (opt_.spill_manager != nullptr && !list.chunks.empty() &&
+              opt_.ledger != nullptr && opt_.ledger->UnderPressure()) {
             if (spill_file == nullptr)
-              spill_file = spill_mgr_->Create("typer.join");
+              spill_file = opt_.spill_manager->Create("typer.join");
             list.SpillTo(spill_file, sizeof(Entry));
             pools_[wid].Release();
           }
@@ -96,13 +88,10 @@ class JoinTable {
         ++list.total;
       };
       produce(wid, emit);
-      build_.Run(mode_, std::move(list), sizeof(Entry));
-      // The partitioned protocol copied every entry into the contiguous
-      // arena (no one reads the chunks after Run's final barrier), so the
-      // materialize-phase memory is pure overhead from here on. Ask the
-      // build, not the requested mode: spilling upgrades kCas builds.
-      if (build_.releases_chunks()) pools_[wid].Release();
-    }, region);
+      build_.Run(std::move(list), sizeof(Entry));
+      // Every entry now lives in the build's arena.
+      pools_[wid].Release();
+    });
   }
 
   /// Primary-key lookup: first entry with matching hash passing `eq`.
@@ -166,12 +155,7 @@ class JoinTable {
  private:
   static constexpr size_t kChunkRows = 1024;
 
-  size_t threads_;
-  runtime::BuildMode mode_;
-  runtime::QueryLedger* ledger_;
-  runtime::SpillManager* spill_mgr_;
-  runtime::WorkerPool* pool_;
-  runtime::RegionInfo region_;  // the owning session's scheduling stream
+  runtime::QueryOptions opt_;
   runtime::JoinBuild build_;
   std::vector<runtime::MemPool> pools_;
 };

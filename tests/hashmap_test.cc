@@ -13,6 +13,8 @@
 #include "runtime/hash.h"
 #include "runtime/mem_pool.h"
 #include "runtime/options.h"
+#include "runtime/resource_governor.h"
+#include "runtime/spill.h"
 #include "runtime/worker_pool.h"
 #include "typer/join_table.h"
 
@@ -138,38 +140,41 @@ TEST(HashmapTest, CapacityIsPowerOfTwoAndAmple) {
   EXPECT_EQ(ht.capacity() & (ht.capacity() - 1), 0u);
 }
 
-// --- JoinBuild: CAS vs partitioned build equivalence ------------------------
+// --- JoinBuild: the one build protocol --------------------------------------
 
-/// Materializes `total` entries (keys 0..total-1, every 7th key duplicated)
-/// into per-worker chunk lists carved from `pool`.
+/// Materializes the rows [begin, end) of the test input (every 7th key
+/// duplicates an earlier one) into small chunks carved from `pool`,
+/// appended to `list`.
+void AddRows(MemPool& pool, size_t begin, size_t end, EntryChunkList& list) {
+  constexpr size_t kRows = 64;  // small chunks: exercise chunk boundaries
+  for (size_t at = begin; at < end; at += kRows) {
+    const size_t rows = std::min(kRows, end - at);
+    auto* block =
+        static_cast<TestEntry*>(pool.Allocate(rows * sizeof(TestEntry)));
+    for (size_t k = 0; k < rows; ++k) {
+      const size_t i = at + k;
+      const int64_t key =
+          static_cast<int64_t>(i % 7 == 0 ? i / 7 : i);  // some duplicates
+      block[k].header.next = nullptr;
+      block[k].header.hash = HashMurmur2(static_cast<uint64_t>(key));
+      block[k].key = key;
+      block[k].value = static_cast<int64_t>(i);
+    }
+    list.Add(reinterpret_cast<std::byte*>(block), rows);
+  }
+}
+
+/// `total` rows split evenly across `workers` chunk lists.
 std::vector<EntryChunkList> MakeChunkLists(MemPool& pool, size_t total,
                                            size_t workers) {
-  constexpr size_t kRows = 64;  // small chunks: exercise chunk boundaries
   std::vector<EntryChunkList> lists(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * total / workers;
-    const size_t end = (w + 1) * total / workers;
-    for (size_t at = begin; at < end; at += kRows) {
-      const size_t rows = std::min(kRows, end - at);
-      auto* block = static_cast<TestEntry*>(
-          pool.Allocate(rows * sizeof(TestEntry)));
-      for (size_t k = 0; k < rows; ++k) {
-        const size_t i = at + k;
-        const int64_t key =
-            static_cast<int64_t>(i % 7 == 0 ? i / 7 : i);  // some duplicates
-        block[k].header.next = nullptr;
-        block[k].header.hash = HashMurmur2(static_cast<uint64_t>(key));
-        block[k].key = key;
-        block[k].value = static_cast<int64_t>(i);
-      }
-      lists[w].Add(reinterpret_cast<std::byte*>(block), rows);
-    }
-  }
+  for (size_t w = 0; w < workers; ++w)
+    AddRows(pool, w * total / workers, (w + 1) * total / workers, lists[w]);
   return lists;
 }
 
-/// Per-bucket multiset of (hash, key, value) plus the tag bits — everything
-/// a probe can observe, independent of chain order and entry placement.
+/// Per-bucket multiset of (hash, key, value) — everything a probe can
+/// observe, independent of chain order and entry placement.
 std::map<size_t, std::vector<std::tuple<uint64_t, int64_t, int64_t>>>
 BucketContents(const Hashmap& ht) {
   std::map<size_t, std::vector<std::tuple<uint64_t, int64_t, int64_t>>> out;
@@ -191,35 +196,106 @@ std::vector<uintptr_t> BucketTags(const Hashmap& ht) {
   return tags;
 }
 
+/// Serial reference: InsertUnlocked over private copies of rows [0, total)
+/// of the test input, into a table sized for `total`.
+struct SerialReference {
+  explicit SerialReference(size_t total) {
+    EntryChunkList rows;
+    AddRows(pool, 0, total, rows);
+    ht.SetSize(total);
+    for (const auto& [base, n] : rows.chunks) {
+      for (size_t k = 0; k < n; ++k) {
+        ht.InsertUnlocked(reinterpret_cast<Hashmap::EntryHeader*>(
+            base + k * sizeof(TestEntry)));
+      }
+    }
+  }
+  MemPool pool;
+  Hashmap ht;
+};
+
+/// Runs one JoinBuild over `lists` (one per worker) and checks the table
+/// against the serial reference over the same `total` rows.
+void ExpectMatchesReference(std::vector<EntryChunkList> lists, size_t total) {
+  const size_t threads = lists.size();
+  Hashmap ht;
+  JoinBuild build(&ht, threads);
+  WorkerPool::Global().Run(threads, [&](size_t wid) {
+    build.Run(std::move(lists[wid]), sizeof(TestEntry));
+  });
+  const SerialReference ref(total);
+  ASSERT_EQ(ht.capacity(), ref.ht.capacity());
+  EXPECT_EQ(build.entry_count(), total);
+  EXPECT_EQ(BucketContents(ht), BucketContents(ref.ht));
+  EXPECT_EQ(BucketTags(ht), BucketTags(ref.ht));
+}
+
 class JoinBuildTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(JoinBuildTest, PartitionedMatchesCasChains) {
+TEST_P(JoinBuildTest, MatchesSerialInsertReference) {
   const size_t threads = GetParam();
   constexpr size_t kTotal = 5000;
   MemPool pool;
-  const auto lists = MakeChunkLists(pool, kTotal, threads);
-
-  Hashmap cas_ht;
-  JoinBuild cas_build(&cas_ht, threads);
-  Hashmap part_ht;
-  JoinBuild part_build(&part_ht, threads);
-  // Partitioned first: it only reads the source rows, while the CAS build
-  // relinks them in place.
-  WorkerPool::Global().Run(threads, [&](size_t wid) {
-    part_build.Run(BuildMode::kPartitioned, lists[wid], sizeof(TestEntry));
-  });
-  WorkerPool::Global().Run(threads, [&](size_t wid) {
-    cas_build.Run(BuildMode::kCas, lists[wid], sizeof(TestEntry));
-  });
-
-  ASSERT_EQ(cas_ht.capacity(), part_ht.capacity());
-  EXPECT_EQ(cas_build.entry_count(), kTotal);
-  EXPECT_EQ(part_build.entry_count(), kTotal);
-  EXPECT_EQ(BucketContents(cas_ht), BucketContents(part_ht));
-  EXPECT_EQ(BucketTags(cas_ht), BucketTags(part_ht));
+  ExpectMatchesReference(MakeChunkLists(pool, kTotal, threads), kTotal);
 }
 
-TEST_P(JoinBuildTest, PartitionedChainsAreContiguousArenaRuns) {
+TEST_P(JoinBuildTest, SpilledAndLiveInputMatchReference) {
+  // Each worker evicts its first chunks to a spill file and keeps
+  // materializing afterwards, as the engines do under memory pressure:
+  // the build must read the spilled rows back into its arena alongside
+  // the live ones.
+  const size_t threads = GetParam();
+  constexpr size_t kTotal = 5000;
+  MemPool pool;
+  SpillManager spill(0, nullptr, nullptr);
+  std::vector<EntryChunkList> lists(threads);
+  for (size_t w = 0; w < threads; ++w) {
+    const size_t begin = w * kTotal / threads;
+    const size_t end = (w + 1) * kTotal / threads;
+    const size_t mid = begin + (end - begin) / 2;
+    AddRows(pool, begin, mid, lists[w]);
+    lists[w].SpillTo(spill.Create("hashmap_test"), sizeof(TestEntry));
+    AddRows(pool, mid, end, lists[w]);
+    ASSERT_GT(lists[w].spilled_rows, 0u);
+    ASSERT_GT(lists[w].total, 0u);
+  }
+  ExpectMatchesReference(std::move(lists), kTotal);
+}
+
+TEST_P(JoinBuildTest, EmptyWorkerLists) {
+  // Only the last worker has rows; the others publish empty lists.
+  const size_t threads = GetParam();
+  constexpr size_t kTotal = 1000;
+  MemPool pool;
+  std::vector<EntryChunkList> lists(threads);
+  AddRows(pool, 0, kTotal, lists.back());
+  ExpectMatchesReference(std::move(lists), kTotal);
+}
+
+TEST_P(JoinBuildTest, SegmentsShorterThanThePrefetchWindow) {
+  const size_t threads = GetParam();
+  for (const size_t per_worker :
+       {size_t{1}, JoinBuild::kPrefetchDistance - 1,
+        JoinBuild::kPrefetchDistance, JoinBuild::kPrefetchDistance + 1}) {
+    MemPool pool;
+    ExpectMatchesReference(
+        MakeChunkLists(pool, per_worker * threads, threads),
+        per_worker * threads);
+  }
+}
+
+TEST_P(JoinBuildTest, EmptyBuildSide) {
+  const size_t threads = GetParam();
+  Hashmap ht;
+  JoinBuild build(&ht, threads);
+  WorkerPool::Global().Run(threads, [&](size_t) {
+    build.Run(EntryChunkList{}, sizeof(TestEntry));
+  });
+  EXPECT_EQ(build.entry_count(), 0u);
+  EXPECT_EQ(ht.FindChainTagged(HashMurmur2(7)), nullptr);
+}
+
+TEST_P(JoinBuildTest, EveryChainEntryLiesInTheArena) {
   const size_t threads = GetParam();
   constexpr size_t kTotal = 3000;
   MemPool pool;
@@ -227,10 +303,9 @@ TEST_P(JoinBuildTest, PartitionedChainsAreContiguousArenaRuns) {
   Hashmap ht;
   JoinBuild build(&ht, threads);
   WorkerPool::Global().Run(threads, [&](size_t wid) {
-    build.Run(BuildMode::kPartitioned, lists[wid], sizeof(TestEntry));
+    build.Run(lists[wid], sizeof(TestEntry));
   });
-  // Every chain must be a sequential run of arena rows — the contiguity
-  // the partitioned build exists to provide.
+  // Probes never touch the materialize chunks: every entry was copied.
   const std::byte* arena = build.arena();
   ASSERT_NE(arena, nullptr);
   size_t seen = 0;
@@ -241,45 +316,19 @@ TEST_P(JoinBuildTest, PartitionedChainsAreContiguousArenaRuns) {
       const auto* p = reinterpret_cast<const std::byte*>(e);
       ASSERT_GE(p, arena);
       ASSERT_LT(p, arena + kTotal * sizeof(TestEntry));
-      if (e->next != nullptr) {
-        EXPECT_EQ(reinterpret_cast<const std::byte*>(e->next),
-                  p + sizeof(TestEntry));
-      }
     }
   }
   EXPECT_EQ(seen, kTotal);
 }
 
-TEST_P(JoinBuildTest, EmptyBuildSide) {
+TEST_P(JoinBuildTest, EngineReleasesMaterializeMemoryAndChargesTheArena) {
+  // After the build the materialize pools are gone — MemPool::live_bytes()
+  // is back at its pre-materialize value — and the run's ledger holds
+  // exactly the directory plus the entry arena, until the table dies.
   const size_t threads = GetParam();
-  for (const BuildMode mode : {BuildMode::kCas, BuildMode::kPartitioned}) {
-    Hashmap ht;
-    JoinBuild build(&ht, threads);
-    WorkerPool::Global().Run(threads, [&](size_t) {
-      build.Run(mode, EntryChunkList{}, sizeof(TestEntry));
-    });
-    EXPECT_EQ(build.entry_count(), 0u);
-    EXPECT_EQ(ht.FindChainTagged(HashMurmur2(7)), nullptr);
-  }
-}
-
-// 7 exercises non-power-of-two bucket-range splits against the power-of-two
-// capacity.
-INSTANTIATE_TEST_SUITE_P(Threads, JoinBuildTest,
-                         ::testing::Values(size_t{1}, size_t{4}, size_t{7}));
-
-// --- materialize-chunk release after partitioned builds ---------------------
-
-TEST(JoinBuildChunkReleaseTest, PartitionedBuildReleasesMaterializeChunks) {
-  // ROADMAP item: the partitioned build relinks every entry into the
-  // contiguous arena, so keeping the per-worker MemPool chunks alive
-  // doubles transient build-side memory. Assert via the process-wide
-  // byte-size counter that the engines free them — and that the CAS mode,
-  // whose chains live in those chunks, keeps them.
   constexpr size_t kEntries = 200000;
-  constexpr size_t kThreads = 4;
-  const auto produce = [](size_t wid, auto emit) {
-    for (size_t i = wid; i < kEntries; i += kThreads) {
+  const auto produce = [threads](size_t wid, auto emit) {
+    for (size_t i = wid; i < kEntries; i += threads) {
       TestEntry e;
       e.header.next = nullptr;
       e.header.hash = HashMurmur2(static_cast<uint64_t>(i));
@@ -289,34 +338,33 @@ TEST(JoinBuildChunkReleaseTest, PartitionedBuildReleasesMaterializeChunks) {
     }
   };
 
+  QueryLedger ledger(0, nullptr);
   QueryOptions opt;
-  opt.threads = kThreads;
-  opt.build_mode = BuildMode::kPartitioned;
+  opt.threads = threads;
+  opt.ledger = &ledger;
   const size_t before = MemPool::live_bytes();
-  typer::JoinTable<TestEntry> partitioned(opt);
-  partitioned.Build(produce);
-  EXPECT_EQ(MemPool::live_bytes(), before)
-      << "partitioned build must release its materialize-phase chunks";
-  // The entries moved to the arena and stay probeable.
-  EXPECT_EQ(partitioned.size(), kEntries);
-  for (int64_t key : {int64_t{0}, int64_t{12345}, int64_t{199999}}) {
-    const TestEntry* e = partitioned.Lookup(
-        HashMurmur2(static_cast<uint64_t>(key)),
-        [&](const TestEntry& t) { return t.key == key; });
-    ASSERT_NE(e, nullptr) << "key " << key;
-    EXPECT_EQ(e->value, key * 3);
+  {
+    typer::JoinTable<TestEntry> table(opt);
+    table.Build(produce);
+    EXPECT_EQ(MemPool::live_bytes(), before)
+        << "the build must release its materialize-phase chunks";
+    EXPECT_EQ(ledger.in_use(), table.ht.capacity() * sizeof(uintptr_t) +
+                                   kEntries * sizeof(TestEntry));
+    EXPECT_EQ(table.size(), kEntries);
+    for (int64_t key : {int64_t{0}, int64_t{12345}, int64_t{199999}}) {
+      const TestEntry* e = table.Lookup(
+          HashMurmur2(static_cast<uint64_t>(key)),
+          [&](const TestEntry& t) { return t.key == key; });
+      ASSERT_NE(e, nullptr) << "key " << key;
+      EXPECT_EQ(e->value, key * 3);
+    }
   }
-
-  opt.build_mode = BuildMode::kCas;
-  typer::JoinTable<TestEntry> cas(opt);
-  cas.Build(produce);
-  EXPECT_GE(MemPool::live_bytes() - before, kEntries * sizeof(TestEntry))
-      << "CAS chains live in the materialize chunks; they must survive";
-  const TestEntry* e = cas.Lookup(
-      HashMurmur2(uint64_t{77}), [](const TestEntry& t) { return t.key == 77; });
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->value, 77 * 3);
+  EXPECT_EQ(ledger.in_use(), 0u);
 }
+
+// 7 exercises uneven segment splits and CAS contention on one directory.
+INSTANTIATE_TEST_SUITE_P(Threads, JoinBuildTest,
+                         ::testing::Values(size_t{1}, size_t{4}, size_t{7}));
 
 TEST(MemPoolTest, AllocationsAlignedAndDistinct) {
   MemPool pool(1024);

@@ -18,15 +18,15 @@
 //    The matrix pins byte-identity at threads {1, 8} x vector sizes
 //    {64, 1024} across all nine queries.
 //
-//  * Build-mode x prefetch equivalence: {CAS, partitioned} builds and
-//    {staged, unstaged} probes must be unobservable in results for both
-//    engines at threads {1, 4} — the acceptance matrix of the
-//    partition-parallel build + ROF generalization.
+//  * Prefetch x thread-count equivalence: {staged, unstaged} probes over
+//    the shared join build must be unobservable in results for both
+//    engines at threads {1, 8} — the acceptance matrix of the ROF
+//    generalization and of the per-worker arena build (one worker inserts
+//    without CAS, several CAS-insert into one directory).
 
 namespace vcq {
 namespace {
 
-using runtime::BuildMode;
 using runtime::CompactionMode;
 using runtime::Database;
 using runtime::QueryOptions;
@@ -50,8 +50,8 @@ std::vector<Query> AllQueries() {
   return all;
 }
 
-/// Single-threaded Typer with the seed's CAS protocol: the anchor every
-/// configuration must reproduce byte-identically.
+/// Single-threaded Typer: the anchor every configuration must reproduce
+/// byte-identically.
 const QueryResult& Expected(Query q) {
   static std::map<Query, QueryResult>* cache =
       new std::map<Query, QueryResult>();
@@ -59,7 +59,6 @@ const QueryResult& Expected(Query q) {
   if (it == cache->end()) {
     QueryOptions opt;
     opt.threads = 1;
-    opt.build_mode = BuildMode::kCas;
     it = cache->emplace(q, RunQuery(DbFor(q), Engine::kTyper, q, opt)).first;
   }
   return it->second;
@@ -86,27 +85,22 @@ TEST_P(JoinPathTest, ProbeAccumulationMultiThreadedCollectors) {
   }
 }
 
-TEST_P(JoinPathTest, BuildModeAndPrefetchAreResultInvariant) {
+TEST_P(JoinPathTest, PrefetchAndThreadsAreResultInvariant) {
   const Query q = GetParam();
   for (const Engine engine : {Engine::kTyper, Engine::kTectorwise}) {
-    for (const BuildMode mode : {BuildMode::kCas, BuildMode::kPartitioned}) {
-      for (const bool rof : {false, true}) {
-        for (const size_t threads : {size_t{1}, size_t{4}}) {
-          // simd additionally routes staged probes through the AVX-512
-          // JoinCandidatesStaged variant (no-op where unsupported).
-          for (const bool simd : {false, true}) {
-            if (simd && engine != Engine::kTectorwise) continue;
-            QueryOptions opt;
-            opt.threads = threads;
-            opt.build_mode = mode;
-            opt.rof = rof;
-            opt.simd = simd;
-            EXPECT_EQ(RunQuery(DbFor(q), engine, q, opt), Expected(q))
-                << EngineName(engine) << " mode="
-                << (mode == BuildMode::kCas ? "cas" : "partitioned")
-                << " rof=" << rof << " threads=" << threads
-                << " simd=" << simd;
-          }
+    for (const bool rof : {false, true}) {
+      for (const size_t threads : {size_t{1}, size_t{8}}) {
+        // simd additionally routes staged probes through the AVX-512
+        // JoinCandidatesStaged variant (no-op where unsupported).
+        for (const bool simd : {false, true}) {
+          if (simd && engine != Engine::kTectorwise) continue;
+          QueryOptions opt;
+          opt.threads = threads;
+          opt.rof = rof;
+          opt.simd = simd;
+          EXPECT_EQ(RunQuery(DbFor(q), engine, q, opt), Expected(q))
+              << EngineName(engine) << " rof=" << rof
+              << " threads=" << threads << " simd=" << simd;
         }
       }
     }

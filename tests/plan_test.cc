@@ -392,43 +392,6 @@ TEST(PlanRegistrationTest, DerivedSetsMatchHandListsForAllQueries) {
   }
 }
 
-TEST(PlanRegistrationTest, BuildModeNodePropertyAnnotatedAndHonored) {
-  // A per-node build-mode override shows up in EXPLAIN and the plan stays
-  // result-identical to the run-wide default.
-  const Relation dim = MakeFact(100);
-  const Relation fact = MakeFact(4000);
-  auto make = [&](bool override_mode) {
-    PlanBuilder pb("bm");
-    auto& dscan = pb.Scan(dim, "dim");
-    const ColumnRef dk = dscan.Col<int32_t>("a");
-    const ColumnRef dv = dscan.Col<int64_t>("b");
-    auto& fscan = pb.Scan(fact, "fact");
-    const ColumnRef fk = fscan.Col<int32_t>("a");
-    auto& join = pb.HashJoin(dscan, fscan);
-    join.Key<int32_t>(fk, dk);
-    if (override_mode) join.SetBuildMode(runtime::BuildMode::kCas);
-    const ColumnRef jv = join.Build<int64_t>(dv);
-    auto& agg = pb.FixedAgg(join);
-    const ColumnRef total = agg.Sum(jv, "total");
-    return std::make_pair(pb.Build(agg, {total}), total);
-  };
-  auto [overridden, o_total] = make(true);
-  EXPECT_NE(overridden.ToString().find("build mode: cas"), std::string::npos);
-  auto [plain, p_total] = make(false);
-  EXPECT_EQ(plain.ToString().find("build mode:"), std::string::npos);
-
-  QueryOptions opt;
-  opt.threads = 4;
-  int64_t got_o = 0, got_p = 0;
-  overridden.Run(opt, [&](const Plan::Batch& b) {
-    got_o += b.Column<int64_t>(o_total)[0];
-  });
-  plain.Run(opt, [&](const Plan::Batch& b) {
-    got_p += b.Column<int64_t>(p_total)[0];
-  });
-  EXPECT_EQ(got_o, got_p);
-}
-
 TEST(PlanRegistrationTest, ToStringListsNodesAndRegistrations) {
   const std::string dump = PlanFor(TpchDb(), "Q3").ToString();
   EXPECT_NE(dump.find("plan Q3"), std::string::npos);

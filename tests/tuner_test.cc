@@ -42,7 +42,7 @@ void RegisterTestKnobs(Tuner& tuner) {
                      {256, 512, 1024, 2048}, 2);
   tuner.RegisterKnob("select.compaction", 1, KnobKind::kCompaction,
                      {0, 1, 16, 64, 256}, 2);
-  tuner.RegisterKnob("join.build_mode", 3, KnobKind::kBuildMode, {0, 1}, 0);
+  tuner.RegisterKnob("join.rof", 3, KnobKind::kRof, {0, 1}, 0);
 }
 
 // The full choice vector of one Resolve, flattened for comparison.
@@ -137,12 +137,12 @@ TEST(TunerTest, PerNodeSpanBeatsQueryCost) {
   // the query's: rig node 5's span so arm 1 wins there even though the
   // query-level cost would say otherwise.
   Tuner tuner(11);
-  const size_t knob = tuner.RegisterKnob("node5.build", 5,
-                                         KnobKind::kBuildMode, {0, 1}, 0);
+  const size_t knob =
+      tuner.RegisterKnob("node5.rof", 5, KnobKind::kRof, {0, 1}, 0);
   for (int i = 0; i < 8; ++i) {
     KnobChoices choices;
     tuner.Resolve(TuningMode::kLearn, &choices);
-    const int64_t value = choices.Get(5, KnobKind::kBuildMode);
+    const int64_t value = choices.Get(5, KnobKind::kRof);
     NodeTelemetry telemetry;
     telemetry.RecordSpan(5, value == 1 ? 100 : 1000, 10);
     // Query-level cost is rigged the other way and must be ignored.
@@ -159,7 +159,7 @@ TEST(TunerTest, UntrainedBestArmIsDefault) {
   tuner.Resolve(TuningMode::kFrozen, &choices);
   EXPECT_EQ(choices.Get(kQueryKnob, KnobKind::kVectorSize), 1024);
   EXPECT_EQ(choices.Get(1, KnobKind::kCompaction), 16);
-  EXPECT_EQ(choices.Get(3, KnobKind::kBuildMode), 0);
+  EXPECT_EQ(choices.Get(3, KnobKind::kRof), 0);
   EXPECT_FALSE(tuner.Converged());
 }
 
