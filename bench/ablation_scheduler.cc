@@ -56,22 +56,6 @@ double Percentile(std::vector<double> v, double p) {
   return v[idx];
 }
 
-struct StreamItem {
-  Engine engine;
-  Query query;
-};
-
-std::vector<StreamItem> MakeStream(size_t length) {
-  std::vector<StreamItem> mix;
-  for (Query q : TpchQueries()) {
-    mix.push_back({Engine::kTyper, q});
-    mix.push_back({Engine::kTectorwise, q});
-  }
-  std::vector<StreamItem> stream;
-  for (size_t i = 0; i < length; ++i) stream.push_back(mix[i % mix.size()]);
-  return stream;
-}
-
 /// Drives `prepared` round-robin with `inflight` concurrent executions.
 double RunInFlight(std::vector<PreparedQuery>& prepared, size_t executions,
                    size_t inflight) {

@@ -43,7 +43,7 @@ namespace {
 void PrintError(const std::string& text, const vcq::sql::SqlError& err) {
   std::fprintf(stderr, "%s\n", err.Format().c_str());
   size_t start = 0;
-  for (int line = 1; line < err.line; ++line) {
+  for (size_t line = 1; line < err.line; ++line) {
     const size_t nl = text.find('\n', start);
     if (nl == std::string::npos) return;
     start = nl + 1;
@@ -51,7 +51,8 @@ void PrintError(const std::string& text, const vcq::sql::SqlError& err) {
   const size_t end = text.find('\n', start);
   const std::string line = text.substr(
       start, end == std::string::npos ? std::string::npos : end - start);
-  std::fprintf(stderr, "  %s\n  %*s^\n", line.c_str(), err.col - 1, "");
+  std::fprintf(stderr, "  %s\n  %*s^\n", line.c_str(),
+               static_cast<int>(err.col - 1), "");
 }
 
 bool ParseInt(const std::string& s, int64_t* out) {
@@ -178,7 +179,6 @@ int main(int argc, char** argv) {
       vcq::runtime::QueryOptions traced = opt;
       traced.trace = vcq::runtime::TraceLevel::kSpans;
       traced.trace_sink = &trace;
-      traced.telemetry = &trace.node_telemetry();
       const auto start = std::chrono::steady_clock::now();
       const vcq::runtime::QueryResult result = prepared.Run(traced, params);
       const double ms = std::chrono::duration<double, std::milli>(

@@ -77,7 +77,7 @@ size_t EstimatedBuildBytes(const runtime::Database& db, Query query);
 
 /// Total input tuples the query scans against `db` (every referenced
 /// relation's tuple count) — the normalization constant for per-query
-/// cost reporting (the tuner's ns/tuple, the benches' throughput rows).
+/// cost reporting (the benches' ns/tuple and throughput rows).
 size_t ScannedTuples(const runtime::Database& db, Query query);
 
 }  // namespace vcq

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -21,7 +20,6 @@
 #include "runtime/scheduler.h"
 #include "runtime/spill.h"
 #include "runtime/trace.h"
-#include "runtime/tuner.h"
 #include "runtime/worker_pool.h"
 #include "sql/catalog.h"
 #include "sql/logical.h"
@@ -69,95 +67,6 @@ const ParamSpec* FindSpec(const QueryInfo& info, std::string_view name) {
     if (spec.name == name) return &spec;
   }
   return nullptr;
-}
-
-using runtime::KnobChoices;
-using runtime::KnobKind;
-using runtime::kQueryKnob;
-using runtime::TuningMode;
-
-/// Encodes the static QueryOptions compaction config as a tuner arm value
-/// (see runtime/tuner.h: 0 = never, 1 = always, k >= 2 = adaptive 1/k).
-int64_t CompactionArmOf(const QueryOptions& opt) {
-  switch (opt.compaction) {
-    case runtime::CompactionMode::kNever: return runtime::kCompactionNever;
-    case runtime::CompactionMode::kAlways: return runtime::kCompactionAlways;
-    case runtime::CompactionMode::kAdaptive: {
-      if (opt.compaction_threshold >= 1.0) return runtime::kCompactionAlways;
-      if (opt.compaction_threshold <= 0.0) return runtime::kCompactionNever;
-      const int64_t k = std::llround(1.0 / opt.compaction_threshold);
-      return std::max<int64_t>(2, k);
-    }
-  }
-  return runtime::kCompactionNever;
-}
-
-/// Registers `value` as a member of `arms` and returns its index, appending
-/// it when the sweep grid does not already contain it — the default arm
-/// must always be selectable (kOff/kFrozen-without-history semantics).
-size_t ArmIndexOf(std::vector<int64_t>& arms, int64_t value) {
-  for (size_t i = 0; i < arms.size(); ++i) {
-    if (arms[i] == value) return i;
-  }
-  arms.push_back(value);
-  return arms.size() - 1;
-}
-
-/// Overlays the execution's query-level knob choices onto the options the
-/// engines read (Typer's ROF settings, Tectorwise's vector size).
-/// Per-plan-node choices flow separately through QueryOptions::knobs ->
-/// ExecContext.
-void ApplyQueryKnobs(const KnobChoices& choices, QueryOptions& opt) {
-  if (const int64_t v = choices.Get(kQueryKnob, KnobKind::kRof);
-      v != KnobChoices::kUnset) {
-    opt.rof = v != 0;
-  }
-  if (const int64_t v = choices.Get(kQueryKnob, KnobKind::kRofBlock);
-      v != KnobChoices::kUnset) {
-    opt.rof_block = static_cast<size_t>(v);
-  }
-  if (const int64_t v = choices.Get(kQueryKnob, KnobKind::kVectorSize);
-      v != KnobChoices::kUnset) {
-    opt.vector_size = static_cast<size_t>(v);
-  }
-}
-
-/// Registers the Tectorwise knob set — the global vector size plus one
-/// compaction/ROF knob per eligible plan node — with the prepared options
-/// as the default arms. Shared by Prepare and PrepareSql:
-/// a SQL-compiled plan exposes exactly the same tunable decisions as a
-/// catalog one.
-void RegisterTectorwiseKnobs(runtime::Tuner& tuner,
-                             const tectorwise::Plan& plan,
-                             const QueryOptions& opt) {
-  std::vector<int64_t> sizes{256, 512, 1024, 2048};
-  const size_t size_def =
-      ArmIndexOf(sizes, static_cast<int64_t>(opt.vector_size));
-  tuner.RegisterKnob("tw.vector_size", kQueryKnob, KnobKind::kVectorSize,
-                     std::move(sizes), size_def);
-  const auto infos = plan.Describe();
-  for (uint32_t i = 0; i < infos.size(); ++i) {
-    using tectorwise::NodeKind;
-    switch (infos[i].kind) {
-      case NodeKind::kSelect:
-      case NodeKind::kHashGroup: {
-        // Compaction arm encoding: never / always / adaptive(1/k).
-        std::vector<int64_t> arms{0, 1, 16, 64, 256};
-        const size_t def = ArmIndexOf(arms, CompactionArmOf(opt));
-        const char* at = infos[i].kind == NodeKind::kSelect ? "tw.select#"
-                                                            : "tw.group#";
-        tuner.RegisterKnob(at + std::to_string(i) + ".compaction", i,
-                           KnobKind::kCompaction, std::move(arms), def);
-        break;
-      }
-      case NodeKind::kHashJoin:
-        tuner.RegisterKnob("tw.join#" + std::to_string(i) + ".rof", i,
-                           KnobKind::kRof, {0, 1}, opt.rof ? 1 : 0);
-        break;
-      default:
-        break;
-    }
-  }
 }
 
 /// Synthesizes the QueryInfo row of a SQL-compiled query: name "SQL", the
@@ -372,14 +281,6 @@ struct PreparedQuery::Impl {
   /// what admission charges — the measured footprint replaces the static
   /// 64 B/build-tuple guess on prepared-query re-execution.
   mutable std::atomic<size_t> measured_peak{0};
-  /// Scan-input tuple count (ScannedTuples, stamped at Prepare): the
-  /// tuner's cost normalization constant.
-  size_t work_tuples = 1;
-  /// The per-PreparedQuery bandit over execution knobs; non-null iff the
-  /// query was prepared with tuning != kOff on a tunable engine. Shared by
-  /// concurrent executions (internally synchronized).
-  std::unique_ptr<runtime::Tuner> tuner;
-
   /// Degradation-ladder telemetry (ExplainDegradation): per rung, how many
   /// ExecuteWithDegradation attempts ran there and how many succeeded.
   static constexpr size_t kRungs = 4;
@@ -407,11 +308,10 @@ struct PreparedQuery::Impl {
   }
 
   /// Per-execution overrides of the prepared options, used by the
-  /// degradation ladder (0 = keep the prepared value). They win over the
-  /// tuner's arms: a degraded retry exists to shrink the footprint, not to
-  /// explore. `trace` (when set) forces tracing onto this execution and
-  /// shares one span buffer across a retry/degradation ladder; `rung` is
-  /// the ladder rung id the run executes at (slow-query log context).
+  /// degradation ladder (0 = keep the prepared value). `trace` (when set)
+  /// forces tracing onto this execution and shares one span buffer across
+  /// a retry/degradation ladder; `rung` is the ladder rung id the run
+  /// executes at (slow-query log context).
   struct RunTweaks {
     bool spill = false;
     size_t threads = 0;
@@ -517,37 +417,8 @@ struct PreparedQuery::Impl {
       run_opt.spill_manager = &*spill_mgr;
       ledger.EnableSpillMode();
     }
-    // Tuned executions draw one arm per knob from the bandit, overlay the
-    // query-level arms onto the run options (Typer ROF, Tectorwise
-    // vector size), and hand the per-node arms + telemetry sink
-    // to the engines. The draw is inside the try: the tuner's bookkeeping
-    // allocates, so it is a named fault point of the managed run.
-    KnobChoices choices;
-    runtime::NodeTelemetry local_telemetry;
-    // The recording-path unification (runtime/trace.h): a traced run
-    // points the engines' per-site telemetry at the trace's embedded
-    // NodeTelemetry, so the join-build protocol records its build span
-    // once and BOTH consumers — the tuner's reward and ExplainAnalyze's
-    // build/probe split — read the same numbers. Untraced tuned runs keep
-    // a private sink; untraced untuned runs record nowhere, as before.
-    runtime::NodeTelemetry* telemetry =
-        trace != nullptr ? &trace->node_telemetry() : &local_telemetry;
-    if (trace != nullptr) run_opt.telemetry = telemetry;
-    const bool tuned =
-        tuner != nullptr && run_opt.tuning != TuningMode::kOff;
-    uint64_t start_ns = 0;
     QueryResult result;
     try {
-      if (tuned) {
-        runtime::FaultHit(run_opt.fault, "session.tuner", token);
-        tuner->Resolve(run_opt.tuning, &choices);
-        ApplyQueryKnobs(choices, run_opt);
-        // Degradation overrides beat the tuner's arms (see RunTweaks).
-        if (tweaks.vector_size != 0) run_opt.vector_size = tweaks.vector_size;
-        run_opt.knobs = &choices;
-        run_opt.telemetry = telemetry;
-        start_ns = runtime::QueryTrace::NowNs();
-      }
       switch (engine) {
         case Engine::kTyper:
           result = typer(*db, run_opt, params, typer_cache);
@@ -580,13 +451,8 @@ struct PreparedQuery::Impl {
                     tweaks.rung);
     }
     result.spilled_bytes = spilled;
-    // Feedback from a clean run only — an interrupted run's spans and peak
-    // are partial and would poison both loops.
-    if (tuned && run_opt.tuning == TuningMode::kLearn) {
-      tuner->Observe(choices, *telemetry,
-                     runtime::QueryTrace::NowNs() - start_ns,
-                     work_tuples);
-    }
+    // Peak feedback from a clean run only — an interrupted run's peak is
+    // partial and would under-charge the next admission.
     size_t prev = measured_peak.load(std::memory_order_relaxed);
     const size_t peak = ledger.peak();
     while (peak > prev && !measured_peak.compare_exchange_weak(
@@ -744,53 +610,50 @@ QueryResult PreparedQuery::ExecuteWithRetry(const RetryPolicy& policy) const {
 
 QueryResult PreparedQuery::ExecuteWithDegradation(
     const DegradationPolicy& policy, Deadline deadline) const {
-  // One rung of the ladder: its fixed id (stamped into
-  // QueryResult::degraded_rung) and the run overrides it applies.
-  struct Rung {
-    uint8_t id;
-    Impl::RunTweaks tweaks;
-  };
-  // Build the enabled rung sequence. Rung ids are fixed (0..3) regardless
-  // of which rungs the policy enables, so degraded_rung always names the
-  // same resource profile. Rung 2 is skipped for single-threaded prepares
-  // (halving 1 thread changes nothing — it would burn an attempt).
-  const size_t prepared_threads = impl_->opt.threads;
-  const bool spill = policy.allow_spill;  // rungs below 1 keep spilling
-  std::vector<Rung> ladder;
-  ladder.push_back(Rung{0, {}});
-  if (policy.allow_spill) ladder.push_back(Rung{1, {.spill = true}});
-  if (policy.allow_reduced_threads && prepared_threads > 1) {
-    ladder.push_back(
-        Rung{2, {.spill = spill, .threads = prepared_threads / 2}});
-  }
-  if (policy.allow_small_vectors) {
-    ladder.push_back(
-        Rung{3, {.spill = spill, .threads = 1, .vector_size = 256}});
-  }
-  const QueryParams bound = params();
   // One trace across the descent (see ExecuteWithRetry): rung attempts
   // show up as "ladder.rung#<id>" brackets around their execution spans.
   std::shared_ptr<runtime::QueryTrace> ladder_trace;
   if (impl_->opt.trace != runtime::TraceLevel::kOff)
     ladder_trace = impl_->NewTrace();
+  // Build the enabled rung sequence. Rung ids are fixed (0..3) regardless
+  // of which rungs the policy enables, so degraded_rung always names the
+  // same resource profile. Rung 2 is skipped for single-threaded prepares
+  // (halving 1 thread changes nothing — it would burn an attempt).
+  std::vector<Impl::RunTweaks> ladder;
+  const auto add_rung = [&](uint8_t id, bool spill, size_t threads,
+                            size_t vector_size) {
+    Impl::RunTweaks tweaks;
+    tweaks.spill = spill;
+    tweaks.threads = threads;
+    tweaks.vector_size = vector_size;
+    tweaks.trace = ladder_trace;
+    tweaks.rung = id;
+    ladder.push_back(std::move(tweaks));
+  };
+  const size_t prepared_threads = impl_->opt.threads;
+  const bool spill = policy.allow_spill;  // rungs below 1 keep spilling
+  add_rung(0, false, 0, 0);
+  if (policy.allow_spill) add_rung(1, true, 0, 0);
+  if (policy.allow_reduced_threads && prepared_threads > 1)
+    add_rung(2, spill, prepared_threads / 2, 0);
+  if (policy.allow_small_vectors) add_rung(3, spill, 1, 256);
+  const QueryParams bound = params();
   QueryResult result;
-  for (size_t i = 0; i < ladder.size(); ++i) {
-    Rung rung = ladder[i];
-    rung.tweaks.trace = ladder_trace;
-    rung.tweaks.rung = rung.id;
+  for (const Impl::RunTweaks& tweaks : ladder) {
+    const uint8_t id = tweaks.rung;
     // Fresh token per attempt (sticky trips must not carry over), same
     // deadline across the whole descent.
     const CancelToken token(deadline);
     {
       runtime::TraceScope attempt(ladder_trace.get(), "session",
-                                  "ladder.rung#" + std::to_string(rung.id));
-      result = impl_->ExecuteWith(bound, &token, rung.tweaks);
+                                  "ladder.rung#" + std::to_string(id));
+      result = impl_->ExecuteWith(bound, &token, tweaks);
     }
-    result.degraded_rung = rung.id;
-    impl_->rung_runs[rung.id].fetch_add(1, std::memory_order_relaxed);
-    CountRung(rung.id, result.ok());
+    result.degraded_rung = id;
+    impl_->rung_runs[id].fetch_add(1, std::memory_order_relaxed);
+    CountRung(id, result.ok());
     if (result.ok()) {
-      impl_->rung_ok[rung.id].fetch_add(1, std::memory_order_relaxed);
+      impl_->rung_ok[id].fetch_add(1, std::memory_order_relaxed);
       return result;
     }
     // Only memory exhaustion descends the ladder; every other failure
@@ -927,20 +790,6 @@ Query PreparedQuery::query() const {
 bool PreparedQuery::is_sql() const { return impl_->is_sql; }
 const QueryInfo& PreparedQuery::info() const { return *impl_->info; }
 const QueryOptions& PreparedQuery::options() const { return impl_->opt; }
-
-std::string PreparedQuery::ExplainTuning() const {
-  if (impl_->tuner == nullptr) return "tuning: off\n";
-  return impl_->tuner->Describe();
-}
-
-PreparedQuery& PreparedQuery::FreezeTuning() {
-  if (impl_->tuner != nullptr) impl_->tuner->Freeze();
-  return *this;
-}
-
-bool PreparedQuery::TuningConverged() const {
-  return impl_->tuner == nullptr || impl_->tuner->Converged();
-}
 
 size_t PreparedQuery::measured_peak_bytes() const {
   return impl_->measured_peak.load(std::memory_order_relaxed);
@@ -1081,28 +930,6 @@ PreparedQuery Session::Prepare(Engine engine, Query query,
       break;
     }
   }
-  // Self-tuning (runtime/tuner.h): every tunable decision of this query
-  // becomes a bandit knob, with the prepared options as the default arms —
-  // an untrained/frozen tuner reproduces today's static behavior exactly.
-  // Volcano has no knobs (it exists as the differential-test reference).
-  if (options.tuning != TuningMode::kOff && engine != Engine::kVolcano) {
-    impl->work_tuples = std::max<size_t>(1, ScannedTuples(*db_, query));
-    auto tuner = std::make_unique<runtime::Tuner>(
-        runtime::Tuner::ResolveSeed(options.tuner_seed));
-    const QueryOptions& opt = impl->opt;
-    if (engine == Engine::kTyper) {
-      tuner->RegisterKnob("typer.rof", kQueryKnob, KnobKind::kRof, {0, 1},
-                          opt.rof ? 1 : 0);
-      std::vector<int64_t> blocks{128, 256, 512, 1024};
-      const size_t def =
-          ArmIndexOf(blocks, static_cast<int64_t>(opt.rof_block));
-      tuner->RegisterKnob("typer.rof_block", kQueryKnob, KnobKind::kRofBlock,
-                          std::move(blocks), def);
-    } else {
-      RegisterTectorwiseKnobs(*tuner, impl->tw->plan(), opt);
-    }
-    impl->tuner = std::move(tuner);
-  }
   PreparedQuery prepared;
   prepared.impl_ = std::move(impl);
   return prepared;
@@ -1137,13 +964,6 @@ PreparedQuery Session::PrepareSql(std::string_view sql_text, Engine engine,
     // The binder declared every $param the plan reads, but run the same
     // drift cross-check Prepare does — it guards the lowering too.
     ValidatePlanParams(impl->tw->plan(), impl->owned_info);
-  }
-  if (options.tuning != TuningMode::kOff && engine == Engine::kTectorwise) {
-    impl->work_tuples = std::max<size_t>(1, compiled.ScannedTuples());
-    auto tuner = std::make_unique<runtime::Tuner>(
-        runtime::Tuner::ResolveSeed(options.tuner_seed));
-    RegisterTectorwiseKnobs(*tuner, impl->tw->plan(), impl->opt);
-    impl->tuner = std::move(tuner);
   }
   PreparedQuery prepared;
   prepared.impl_ = std::move(impl);

@@ -196,23 +196,11 @@ class PreparedQuery {
   const QueryInfo& info() const;
   const runtime::QueryOptions& options() const;
 
-  /// EXPLAIN surface of the self-tuning state (runtime/tuner.h): per knob,
-  /// the arm set with visit counts and mean measured cost, and the arm a
-  /// frozen execution would choose. Returns "tuning: off\n" when the query
-  /// was prepared with TuningMode::kOff.
-  std::string ExplainTuning() const;
-  /// Pins every knob to its current best learned arm: subsequent
-  /// executions behave as TuningMode::kFrozen regardless of the prepared
-  /// mode. No-op under kOff.
-  PreparedQuery& FreezeTuning();
-  /// True once the tuner's bounded exploration phase has completed (every
-  /// arm of every knob visited); always true under kOff.
-  bool TuningConverged() const;
   /// Peak ledger bytes measured across this handle's successful
   /// executions; 0 until the first one completes. Once nonzero it replaces
   /// the catalog's static build estimate in memory-aware admission.
   size_t measured_peak_bytes() const;
-  /// EXPLAIN surface of the degradation ladder (mirrors ExplainTuning):
+  /// EXPLAIN surface of the degradation ladder:
   /// per rung, how many ExecuteWithDegradation attempts ran there and how
   /// many succeeded — the operational record of how often this query needs
   /// to shed which resource to survive.
@@ -278,7 +266,7 @@ class Session {
   /// parallel) and kVolcano (tuple-at-a-time differential oracle); kTyper
   /// pipelines are ahead-of-time compiled per catalog query and cannot run
   /// arbitrary SQL — asking for it check-fails. Thread clamping, admission,
-  /// tuning knobs, retry/degradation ladders all behave as for Prepare.
+  /// execution knobs, retry/degradation ladders all behave as for Prepare.
   PreparedQuery PrepareSql(std::string_view sql,
                            Engine engine = Engine::kTectorwise,
                            const runtime::QueryOptions& options = {}) const;

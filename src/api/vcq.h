@@ -105,42 +105,15 @@
 //      kRejected while lighter tenants keep queueing — overload degrades
 //      the tenant causing it, not the whole process.
 //
-// Self-tuning model (paper §9.1: the optimizer, not the engineer, should
-// pick execution strategies): every data- and machine-dependent execution
-// knob — compaction policy/threshold at each registered Tectorwise
-// Select/group point, join-build protocol per build, Typer's ROF staged
-// probes and their block size, the vector size — can be learned per
-// prepared query instead of set statically, by a per-PreparedQuery
-// multi-armed bandit (runtime/tuner.h). Opt in per query:
-//
-//   vcq::runtime::QueryOptions opt;
-//   opt.tuning = vcq::runtime::TuningMode::kLearn;   // default: kOff
-//   opt.tuner_seed = 42;            // 0 = VCQ_TUNER_SEED env, else fixed
-//   vcq::PreparedQuery q = session.Prepare(engine, query, opt);
-//   while (!q.TuningConverged()) q.Execute();        // bounded exploration
-//   std::cout << q.ExplainTuning();  // arms, visit counts, measured costs
-//   q.FreezeTuning();                // pin the learned configuration
-//
-// Knob lifecycle: knobs are registered at Prepare (one per tunable
-// decision the query's plan actually contains), each with a discrete arm
-// set whose default arm is exactly the static QueryOptions configuration.
-// Every kLearn execution draws one arm per knob (bounded exploration in a
-// seed-shuffled order, then UCB1 on measured ns/tuple — per-node spans
-// where telemetry exists, the query span otherwise) and feeds the
-// measured cost back; failed executions are never charged. kFrozen (or
-// FreezeTuning()) resolves every knob to its best learned arm without
-// further exploration or state updates; kOff bypasses the tuner entirely
-// and behaves exactly like the pre-tuner statics — as does an untrained
-// frozen tuner, whose best arm is the default arm.
-//
-// Determinism: arms change performance, never results — every arm of
-// every knob produces byte-identical output (tests/tuner_test.cc sweeps
-// them). The exploration arm sequence is a pure function of the resolved
-// seed and the number of kLearn executions; measured costs only influence
-// post-exploration choices. Set VCQ_TUNER_SEED (or tuner_seed) to replay
-// a sequence exactly. bench/ablation_self_tuning.cc measures the learned
-// configuration against every static arm across selectivities and scale
-// factors.
+// Execution knobs: the engine-level strategies the paper's sections vary
+// — Tectorwise vector size (§4.1), SIMD primitives (§5), batch
+// compaction, relaxed operator fusion (§9.1, QueryOptions::rof) and
+// micro-adaptive aggregation (§8.4) — are static QueryOptions fields. The
+// caller's setting is each knob's only source: nothing changes it between
+// executions, except the degradation ladder's explicit rungs above. Every
+// setting produces byte-identical results (tests/join_path_test.cc and
+// tests/tpch_queries_test.cc sweep ROF x engine x threads and compaction
+// x vector size); the knobs change speed, never answers.
 //
 // SQL model (src/sql/): the catalog queries above are hand-built plans,
 // but a Session can also compile ad-hoc SQL text —
@@ -162,7 +135,7 @@
 // pushdown through key joins) →
 // lowering onto the same tectorwise::PlanBuilder DAG the catalog queries
 // use — so SQL-prepared queries inherit the whole runtime stack above
-// (scheduler, governor, spill, degradation, tuning) unchanged. `$name`
+// (scheduler, governor, spill, degradation) unchanged. `$name`
 // placeholders become named parameters with NO defaults; every one must
 // be bound before Execute. Malformed SQL check-fails at PrepareSql with a
 // 1-based line:column diagnostic and never reaches Execute (sql::Compile
@@ -191,14 +164,15 @@
 //   Render as chrome://tracing JSON (QueryTrace::ToChromeJson, also
 //   engine_explorer --trace-json) or as the measured plan tree
 //   (PreparedQuery::ExplainAnalyze — per node: rows, batches, self time,
-//   ns/tuple, batch density, build/probe split, spill bytes). Traced runs
-//   point the tuner's NodeTelemetry at the trace, so the bandit's reward
-//   signal, EXPLAIN ANALYZE, and the benches all read the same numbers.
+//   ns/tuple, batch density, build/probe split, spill bytes). The trace
+//   also owns the per-site join-build telemetry (node_telemetry()): any
+//   run with a trace sink records its build spans there, and EXPLAIN
+//   ANALYZE and the benches read the same numbers.
 //
 //   Process-wide METRICS. A global registry of counters, gauges, and
 //   log2-bucketed histograms named vcq.<subsystem>.<what>[_total] —
 //   scheduler admission/shed/queue depth, governor live and peak bytes,
-//   spill bytes, degradation-ladder rung outcomes, tuner draws, and
+//   spill bytes, degradation-ladder rung outcomes, and
 //   per-session query latency percentiles (vcq.query.latency_us
 //   p50/p95/p99). Snapshot as JSON via Session::MetricsSnapshot() (also
 //   sql_shell \metrics) or Prometheus text via metrics::

@@ -44,9 +44,8 @@ struct Measurement {
   // materialize-phase skew is excluded); probe_ms is the rest of that run
   // — for queries without hash joins build_ms is 0 and probe_ms is simply
   // the whole run. On the unified path these come from the instrumented
-  // run's QueryTrace NodeTelemetry (the same recording the tuner's reward
-  // and ExplainAnalyze read); the legacy path drains the process-global
-  // JoinBuildTelemetry.
+  // run's QueryTrace NodeTelemetry (the same recording ExplainAnalyze
+  // reads); the legacy path drains the process-global JoinBuildTelemetry.
   double build_ms = 0;
   double probe_ms = 0;
 
@@ -64,7 +63,7 @@ Measurement Measure(const std::function<void()>& fn, int reps);
 /// traced and returns the run's QueryTrace (QueryResult::trace for session
 /// paths, a caller-owned sink for direct engine calls) — build_ms/
 /// probe_ms/density are derived from its spans, so benches and production
-/// (EXPLAIN ANALYZE, the tuner) report from one recording path. A null
+/// (EXPLAIN ANALYZE) report from one recording path. A null
 /// trace (failed run) leaves the telemetry columns at their zero/NaN
 /// defaults. `vector_size` is the density denominator per batch.
 Measurement MeasureTraced(

@@ -94,7 +94,6 @@ const std::vector<const char*>& FaultInjector::KnownPoints() {
       "tw.join.materialize",     // Tectorwise build-side row scatter
       "tw.group.alloc",          // Tectorwise group-entry alloc
       "tw.group.merge",          // Tectorwise spill-partition merge
-      "session.tuner",           // tuned executions: bandit arm draw
       "spill.open",              // spill-file create (SpillManager::Create)
       "spill.write",             // spill-segment append (SpillFile::Append)
       "spill.read",              // spill-segment readback (SpillFile::Read)

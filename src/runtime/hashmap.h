@@ -17,7 +17,7 @@
 #include "runtime/fault_injector.h"
 #include "runtime/resource_governor.h"
 #include "runtime/spill.h"
-#include "runtime/tuner.h"
+#include "runtime/trace.h"
 
 namespace vcq::runtime {
 
@@ -197,15 +197,15 @@ class JoinBuildTelemetry {
 /// Failure-containment context of one JoinBuild (all optional): the run's
 /// CancelToken (barrier aborts, failure propagation), FaultInjector (the
 /// build's named fault points), QueryLedger (directory + arena bytes are
-/// charged to the query's memory budget), and NodeTelemetry sink + site id
-/// (the build's wall span is recorded per plan node as the tuner's reward
-/// signal; see runtime/tuner.h). Default-constructed = the ungoverned seed
+/// charged to the query's memory budget), and trace sink + site id (on
+/// traced runs the build's wall span is recorded under `site` in the
+/// trace's node_telemetry()). Default-constructed = the ungoverned seed
 /// behavior.
 struct JoinBuildEnv {
   const CancelToken* cancel = nullptr;
   FaultInjector* fault = nullptr;
   QueryLedger* ledger = nullptr;
-  NodeTelemetry* telemetry = nullptr;
+  QueryTrace* trace = nullptr;
   uint32_t site = 0;
 };
 
@@ -327,8 +327,8 @@ class JoinBuild {
         [&] {
           const uint64_t span = JoinBuildTelemetry::NowNs() - start_ns_;
           JoinBuildTelemetry::Global().Add(span);
-          if (env_.telemetry != nullptr && total_ > 0) {
-            env_.telemetry->RecordSpan(env_.site, span, total_);
+          if (env_.trace != nullptr && total_ > 0) {
+            env_.trace->node_telemetry().RecordSpan(env_.site, span, total_);
           }
           // Every entry now lives in the arena: drop the chunk lists that
           // point into the engines' materialize pools.

@@ -8,8 +8,6 @@ namespace vcq::runtime {
 
 class CancelToken;
 class FaultInjector;
-class KnobChoices;
-class NodeTelemetry;
 class QueryLedger;
 class QueryTrace;
 class SpillManager;
@@ -26,17 +24,6 @@ enum class TraceLevel : uint8_t { kOff, kSpans };
 /// Engine-independent spelling of the Tectorwise batch-compaction policy
 /// (mapped onto tectorwise::CompactionPolicy by the plan builders).
 enum class CompactionMode { kNever, kAlways, kAdaptive };
-
-/// Whether prepared-query executions consult the per-PreparedQuery
-/// runtime::Tuner for execution knobs (see runtime/tuner.h):
-///   kOff     every knob comes from the static QueryOptions fields below —
-///            exactly the pre-tuner behavior.
-///   kLearn   each execution draws knob arms from the bandit (bounded
-///            seed-deterministic exploration, then UCB1) and feeds the
-///            measured cost back.
-///   kFrozen  every knob resolves to the current best learned arm; no
-///            exploration, no state updates.
-enum class TuningMode { kOff, kLearn, kFrozen };
 
 /// Per-run execution settings, honored by all engines where meaningful.
 struct QueryOptions {
@@ -108,43 +95,21 @@ struct QueryOptions {
   /// only.
   bool adaptive = false;
   /// Relaxed operator fusion (paper §9.1, Peloton's hybrid). Typer: every
-  /// join query's probe pipeline is split at a block boundary (see
-  /// typer::JoinTable::StagedLookup) — stage 1 hashes a block and
-  /// prefetches the directory words, stage 2 prefetches the chain heads,
-  /// stage 3 resolves with the latency hidden. Tectorwise: findCandidates
-  /// switches to the prefetch-staged variant (JoinCandidatesStaged), which
-  /// plays the same trick inside each vector.
+  /// join query's probe pipeline is split at a block boundary of
+  /// typer::kRofBlock tuples (see typer::JoinTable::StagedLookup) — stage
+  /// 1 hashes a block and prefetches the directory words, stage 2
+  /// prefetches the chain heads, stage 3 resolves with the latency hidden.
+  /// Tectorwise: findCandidates switches to the prefetch-staged variant
+  /// (JoinCandidatesStaged), which plays the same trick inside each
+  /// vector, at every hash-join node of the plan.
   bool rof = false;
   /// Batch compaction at the sparse points of the vectorized pipeline
   /// (Select output, hash-join probe output, group-by input); Tectorwise
-  /// only. See tectorwise::CompactionPolicy.
+  /// only, applied at every such point of the plan. See
+  /// tectorwise::CompactionPolicy.
   CompactionMode compaction = CompactionMode::kNever;
   /// Density below which kAdaptive compacts (count / vector_size).
   double compaction_threshold = 1.0 / 64;
-  /// Typer staged-probe (ROF) block size in tuples when `rof` is set;
-  /// clamped to [1, typer::kRofMaxBlock]. The tuner sweeps
-  /// {128, 256, 512, 1024}.
-  size_t rof_block = 512;
-  /// Self-tuning mode for prepared-query execution (see TuningMode and
-  /// runtime/tuner.h). Session-level setting; standalone engine calls
-  /// ignore it.
-  TuningMode tuning = TuningMode::kOff;
-  /// Seed for the tuner's arm-exploration order. 0 = take VCQ_TUNER_SEED
-  /// from the environment, falling back to a fixed default; arm sequences
-  /// are reproducible from the resolved seed either way.
-  uint64_t tuner_seed = 0;
-  /// Resolved per-execution knob choices (written by runtime::Tuner,
-  /// stamped by vcq::PreparedQuery per run). Engines overlay these on the
-  /// static fields above: Tectorwise reads per-plan-node arms through
-  /// ExecContext, Typer reads the per-query arms before entering the
-  /// pipeline. nullptr = no overlay.
-  const KnobChoices* knobs = nullptr;
-  /// Per-node wall-span sink for this execution (reward signal for the
-  /// tuner; see runtime::NodeTelemetry). nullptr = not sampled. When
-  /// tracing is on, vcq::PreparedQuery points this at the trace's
-  /// embedded NodeTelemetry so the tuner and the trace share one
-  /// recording path.
-  NodeTelemetry* telemetry = nullptr;
   /// Requested trace level. vcq::Session honors it by allocating a
   /// QueryTrace per execution (stamped into QueryResult::trace on
   /// success and failure); standalone engine calls must also set
@@ -152,7 +117,9 @@ struct QueryOptions {
   TraceLevel trace = TraceLevel::kOff;
   /// Span sink for this execution (see runtime/trace.h). Stamped per run
   /// by vcq::PreparedQuery when `trace` != kOff; standalone callers may
-  /// stamp their own. nullptr = no span capture.
+  /// stamp their own. The join-build protocol of both engines records its
+  /// per-site build spans into trace_sink->node_telemetry(). nullptr = no
+  /// span capture and no build telemetry.
   QueryTrace* trace_sink = nullptr;
 };
 

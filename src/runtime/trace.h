@@ -4,12 +4,11 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "runtime/tuner.h"
 
 // Per-execution trace spans — the unified observability substrate.
 //
@@ -37,21 +36,61 @@
 // All spans use one monotonic clock (NowNs — steady_clock, the same
 // epoch JoinBuildTelemetry uses), so Chrome's timeline nests correctly.
 //
-// Recording-path unification (the NodeTelemetry contract): the trace
-// EMBEDS the NodeTelemetry the tuner reads. When tracing is on, the
-// session points QueryOptions::telemetry at node_telemetry(), so the
-// join-build protocol (runtime/hashmap.h) records its per-site build
-// span ONCE and both consumers — the tuner's reward signal and the
-// ExplainAnalyze build/probe split — read the same numbers. When
-// tracing is off the tuner keeps its private NodeTelemetry; nothing
-// else is allocated or touched (QueryOptions::trace == kOff costs a
-// null check at every instrumentation point).
+// Per-site build telemetry: the trace owns the NodeTelemetry the
+// join-build protocol (runtime/hashmap.h) records into. Whenever a run
+// has a trace sink (QueryOptions::trace_sink), both engines' join builds
+// record their per-site build span there, once; EXPLAIN ANALYZE's
+// build/probe split and the benchmark harnesses read it back through
+// node_telemetry(). There is no other consumer and no separate option:
+// an untraced run records nothing and allocates nothing
+// (QueryOptions::trace == kOff costs a null check at every
+// instrumentation point).
 //
 // Export: ToChromeJson() renders the chrome://tracing (Perfetto) JSON
 // object format; PreparedQuery::ExplainAnalyze() renders the compact
 // annotated text tree (api/session.h, tectorwise::ExplainAnalyzeTree).
 
 namespace vcq::runtime {
+
+/// Per-execution, per-site join-build wall spans, embedded in QueryTrace.
+/// Sites are plan-node indices (Tectorwise) or build ordinals (Typer),
+/// each accumulating {ns, tuples}. Fixed-size atomic slots: recording
+/// from parallel workers is lock-free and allocation-free.
+class NodeTelemetry {
+ public:
+  static constexpr size_t kMaxSites = 64;
+
+  void RecordSpan(uint32_t site, uint64_t ns, uint64_t tuples) {
+    if (site >= kMaxSites) return;  // out-of-range sites go unrecorded
+    sites_[site].ns.fetch_add(ns, std::memory_order_relaxed);
+    sites_[site].tuples.fetch_add(tuples, std::memory_order_relaxed);
+  }
+
+  bool HasSpan(uint32_t site) const {
+    return site < kMaxSites &&
+           sites_[site].tuples.load(std::memory_order_relaxed) > 0;
+  }
+
+  /// Accumulated wall ns at `site` (0 when nothing was recorded) — read
+  /// by EXPLAIN ANALYZE's build/probe split and the benchmark harnesses.
+  uint64_t SpanNs(uint32_t site) const {
+    return site < kMaxSites ? sites_[site].ns.load(std::memory_order_relaxed)
+                            : 0;
+  }
+  /// Accumulated tuples at `site`.
+  uint64_t SpanTuples(uint32_t site) const {
+    return site < kMaxSites
+               ? sites_[site].tuples.load(std::memory_order_relaxed)
+               : 0;
+  }
+
+ private:
+  struct Site {
+    std::atomic<uint64_t> ns{0};
+    std::atomic<uint64_t> tuples{0};
+  };
+  Site sites_[kMaxSites];
+};
 
 /// One measured interval. `cat` must point at static storage ("operator",
 /// "pipeline", "sched", "spill", "sql", "session", ...). `tuples` carries
@@ -125,8 +164,8 @@ class QueryTrace {
   OperatorStats OperatorAt(uint32_t site) const;
   bool HasOperator(uint32_t site) const;
 
-  /// The embedded per-site telemetry the join-build protocol and the
-  /// tuner share (build ns/tuples per site — see runtime/hashmap.h).
+  /// The embedded per-site join-build telemetry (build ns/tuples per
+  /// site — see runtime/hashmap.h).
   NodeTelemetry& node_telemetry() { return telemetry_; }
   const NodeTelemetry& node_telemetry() const { return telemetry_; }
 

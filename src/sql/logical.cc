@@ -103,8 +103,8 @@ std::string ToString(const BoundQuery& q) {
   for (const JoinEdge& e : q.joins) {
     out += "join:";
     for (const auto& k : e.keys)
-      out += " " + ToString(q, Scalar{.op = ScalarOp::kColumn, .col = k[0]}) +
-             " = " + ToString(q, Scalar{.op = ScalarOp::kColumn, .col = k[1]});
+      out += " " + ToString(q, Scalar::Column(k[0])) +
+             " = " + ToString(q, Scalar::Column(k[1]));
     out += "\n";
   }
   if (!q.values.empty()) {

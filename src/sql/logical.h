@@ -50,6 +50,15 @@ struct Scalar {
   int64_t value = 0;  // kConst, at type.scale
   std::vector<Scalar> args;
 
+  /// A bare reference to column `c` (type and position left unset): what
+  /// the EXPLAIN renderers print join and group-by keys through.
+  static Scalar Column(ColumnId c) {
+    Scalar s;
+    s.op = ScalarOp::kColumn;
+    s.col = c;
+    return s;
+  }
+
   bool IsColumn() const { return op == ScalarOp::kColumn; }
   bool IsConst() const { return op == ScalarOp::kConst; }
   /// Bitmask of referenced BoundQuery::tables indices.

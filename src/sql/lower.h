@@ -22,7 +22,8 @@
 //                    Build/Probe carries, hash group-by or fixed
 //                    aggregation on top). Returns a normal
 //                    tectorwise::Prepared, so Session treats SQL plans
-//                    exactly like catalog plans (tuning knobs included).
+//                    exactly like catalog plans (execution knobs
+//                    included).
 //
 //   RunVolcano       interprets the same tree with the tuple-at-a-time
 //                    operators (volcano/volcano.h) per execution.

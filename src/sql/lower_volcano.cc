@@ -588,8 +588,7 @@ class Lowerer {
   }
 
   /// Per-output-slot decoder used by the drain loops.
-  std::function<SqlValue(const Row&, size_t)> Decoder(const Scalar& v,
-                                                     const VEnv& env) {
+  std::function<SqlValue(const Row&, size_t)> Decoder(const Scalar& v) {
     if (v.IsColumn() && v.type.kind == TypeKind::kString) {
       const Dict* d = &DictFor(v.col);
       return [d](const Row& r, size_t slot) {
@@ -651,7 +650,7 @@ class Lowerer {
     AddAggs(group.get(), arg_slots);
 
     std::vector<std::function<SqlValue(const Row&, size_t)>> decode;
-    for (const Scalar& v : q_.values) decode.push_back(Decoder(v, env));
+    for (const Scalar& v : q_.values) decode.push_back(Decoder(v));
 
     const size_t nkeys = q_.values.size();
     group->Open();

@@ -519,7 +519,7 @@ void Dump(const PhysicalPlan& p, const JoinTree& t, int indent,
     std::string group;
     for (const ColumnId c : t.group_by) {
       group += group.empty() ? " group by " : ", ";
-      group += ToString(p.query, Scalar{.op = ScalarOp::kColumn, .col = c});
+      group += ToString(p.query, Scalar::Column(c));
     }
     if (!t.group_by.empty()) {
       for (const HavingPred& h : p.query.having) {
@@ -536,10 +536,8 @@ void Dump(const PhysicalPlan& p, const JoinTree& t, int indent,
   std::string keys;
   for (const auto& k : t.keys) {
     keys += keys.empty() ? " on " : ", ";
-    keys +=
-        ToString(p.query, Scalar{.op = ScalarOp::kColumn, .col = k[0]}) +
-        " = " +
-        ToString(p.query, Scalar{.op = ScalarOp::kColumn, .col = k[1]});
+    keys += ToString(p.query, Scalar::Column(k[0])) + " = " +
+            ToString(p.query, Scalar::Column(k[1]));
   }
   *out += pad + "hashjoin est=" + est + keys + filters(t) + "\n";
   Dump(p, *t.build, indent + 1, out);

@@ -1,6 +1,5 @@
 #include "sql/sql.h"
 
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -11,20 +10,6 @@
 #include "sql/parser.h"
 
 namespace vcq::sql {
-
-uint64_t CompiledQuery::ScannedTuples() const {
-  uint64_t total = 0;
-  const std::function<void(const JoinTree&)> walk = [&](const JoinTree& t) {
-    if (t.IsLeaf()) {
-      total += plan_.query.Table(static_cast<uint32_t>(t.table)).tuple_count;
-      return;
-    }
-    walk(*t.build);
-    walk(*t.probe);
-  };
-  walk(*plan_.root);
-  return total;
-}
 
 std::string CompiledQuery::ExplainPhysical() const {
   return std::move(LowerTectorwise()).TakePlan().ToString();

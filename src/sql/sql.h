@@ -50,9 +50,6 @@ class CompiledQuery {
   /// Optimizer plan cost: Σ estimated join-output rows.
   double cost() const { return plan_.cost; }
 
-  /// Σ leaf tuple counts — rows every execution scans.
-  uint64_t ScannedTuples() const;
-
   /// Builds the Tectorwise plan (callable repeatedly; each Prepared is
   /// independent).
   tectorwise::Prepared LowerTectorwise() const {

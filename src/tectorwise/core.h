@@ -93,22 +93,14 @@ struct ExecContext {
   /// tables evict completed state to temp files instead of letting the
   /// budget trip the run. nullptr = spill disabled.
   runtime::SpillManager* spill = nullptr;
-  /// Per-execution knob choices from the session's runtime::Tuner,
-  /// keyed by plan-node index (see runtime/tuner.h). The plan nodes
-  /// overlay matching choices onto the static fields above when
-  /// instantiating their operators; nullptr = statics only.
-  const runtime::KnobChoices* knobs = nullptr;
-  /// Per-node wall-span sink for this execution (the tuner's reward
-  /// signal); nullptr = not sampled.
-  runtime::NodeTelemetry* telemetry = nullptr;
   /// Per-execution span sink (runtime/trace.h). When set, every operator
   /// the plan instantiates is wrapped in a timing shim (one span per
   /// node per worker plus per-site row/ns aggregates) and spill files
   /// carry their node's index for per-node byte attribution. nullptr =
   /// tracing off — the instantiation path is unchanged.
   runtime::QueryTrace* trace = nullptr;
-  /// Plan-node index of the node this context was overlaid for
-  /// (plan.cc NodeContext); UINT32_MAX outside node scope. Lets deep
+  /// Plan-node index of the node this context was stamped for on traced
+  /// runs (plan.cc NodeContext); UINT32_MAX outside node scope. Lets deep
   /// operator code (spill sites) attribute I/O to its plan node without
   /// widening every constructor.
   uint32_t site = UINT32_MAX;

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "runtime/trace.h"
-#include "runtime/tuner.h"
 #include "runtime/worker_pool.h"
 
 namespace vcq::tectorwise {
@@ -22,42 +21,20 @@ ExecContext MakeContext(const runtime::QueryOptions& opt) {
   ctx.ledger = opt.ledger;
   ctx.fault = opt.fault;
   ctx.spill = opt.spill_manager;
-  ctx.knobs = opt.knobs;
-  ctx.telemetry = opt.telemetry;
   ctx.trace = opt.trace_sink;
   return ctx;
 }
 
 namespace {
 
-/// The plan context with node `index`'s tuner choices overlaid (see
-/// runtime/tuner.h). Every operator that reads these fields copies the
-/// context at construction, so a per-node local is safe; all workers
-/// derive the same overlay from the shared KnobChoices.
+/// The plan context stamped with node `index` as its site on traced runs:
+/// the node scope deep instrumentation points (per-node spill-byte
+/// attribution in hash_join/hash_group) read. Untraced runs use the plan
+/// context unchanged.
 ExecContext NodeContext(const ExecContext& base, uint32_t index) {
-  if (base.knobs == nullptr && base.trace == nullptr) return base;
-  using runtime::KnobChoices;
-  using runtime::KnobKind;
+  if (base.trace == nullptr) return base;
   ExecContext ctx = base;
-  // Node scope for deep instrumentation points (per-node spill-byte
-  // attribution in hash_join/hash_group).
   ctx.site = index;
-  if (base.knobs == nullptr) return ctx;
-  if (const int64_t v = base.knobs->Get(index, KnobKind::kCompaction);
-      v != KnobChoices::kUnset) {
-    if (v == runtime::kCompactionNever) {
-      ctx.compaction = CompactionPolicy::kNever;
-    } else if (v == runtime::kCompactionAlways) {
-      ctx.compaction = CompactionPolicy::kAlways;
-    } else {
-      ctx.compaction = CompactionPolicy::kAdaptive;
-      ctx.compaction_threshold = 1.0 / static_cast<double>(v);
-    }
-  }
-  if (const int64_t v = base.knobs->Get(index, KnobKind::kRof);
-      v != KnobChoices::kUnset) {
-    ctx.rof = v != 0;
-  }
   return ctx;
 }
 
@@ -209,11 +186,11 @@ std::unique_ptr<Operator> MapNode::Instantiate(
 
 std::shared_ptr<void> JoinNode::MakeShared(
     const runtime::QueryOptions& opt) const {
-  // The build's wall span is recorded under this node's index (EXPLAIN
-  // ANALYZE's build/probe split; the tuner's per-node reward).
+  // On traced runs the build's wall span is recorded under this node's
+  // index (EXPLAIN ANALYZE's build/probe split).
   return std::make_shared<HashJoin::Shared>(
       opt.threads, runtime::JoinBuildEnv{opt.cancel, opt.fault, opt.ledger,
-                                         opt.telemetry, index_});
+                                         opt.trace_sink, index_});
 }
 
 std::unique_ptr<Operator> JoinNode::Instantiate(
@@ -752,8 +729,7 @@ std::string ExplainAnalyzeTree(const Plan& plan,
           out += buf;
         }
         // The join build's wall span arrives through the trace's embedded
-        // NodeTelemetry — the same numbers the tuner reads
-        // (runtime/hashmap.h records them once).
+        // NodeTelemetry (runtime/hashmap.h records it once).
         const runtime::NodeTelemetry& telemetry = trace.node_telemetry();
         if (info.kind == NodeKind::kHashJoin && telemetry.HasSpan(index)) {
           const uint64_t build_ns = telemetry.SpanNs(index);

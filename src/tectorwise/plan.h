@@ -938,8 +938,8 @@ class Plan {
 /// EXPLAIN ANALYZE rendering: the plan's Describe() tree annotated with
 /// the measured per-node stats a traced run recorded (runtime/trace.h) —
 /// output rows, batches, inclusive and self ns/tuple, batch density,
-/// join build/probe wall split (from the trace's embedded NodeTelemetry,
-/// the same numbers the tuner learns from), and spill bytes per node.
+/// join build/probe wall split (from the trace's embedded NodeTelemetry),
+/// and spill bytes per node.
 /// `vector_size` is the run's vector size (density denominator).
 std::string ExplainAnalyzeTree(const Plan& plan,
                                const runtime::QueryTrace& trace,

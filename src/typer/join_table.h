@@ -15,14 +15,11 @@
 
 namespace vcq::typer {
 
-/// Default block size for relaxed-operator-fusion staged probes (paper
-/// §9.1): large enough that the block's independent prefetches cover DRAM
-/// latency, small enough that the staged hash buffers stay L1-resident.
-/// The actual block size is per-run (QueryOptions::rof_block, swept by the
-/// tuner over {128, 256, 512, 1024}).
+/// Block size in tuples for relaxed-operator-fusion staged probes (paper
+/// §9.1, QueryOptions::rof): large enough that the block's independent
+/// prefetches cover DRAM latency, small enough that the staged hash
+/// buffers stay L1-resident.
 inline constexpr size_t kRofBlock = 512;
-/// Upper bound on QueryOptions::rof_block; sizes the staged hash buffers.
-inline constexpr size_t kRofMaxBlock = 1024;
 
 /// Shared join hash table for Typer pipelines: a morsel-parallel producer
 /// materializes entries into worker-local chunk arenas, then hands them to
@@ -39,13 +36,14 @@ class JoinTable {
                 "the join build relocates entries bytewise");
 
  public:
-  /// `site` is this build's NodeTelemetry slot (a per-query build ordinal);
-  /// only meaningful on tuned runs where opt.telemetry is set.
+  /// `site` is this build's NodeTelemetry slot; the build span is recorded
+  /// there on traced runs (opt.trace_sink set). The Typer queries leave it
+  /// at 0, so a query's build spans add up in one slot.
   explicit JoinTable(const runtime::QueryOptions& opt, uint32_t site = 0)
       : opt_(opt),
         build_(&ht, opt.threads,
                runtime::JoinBuildEnv{opt.cancel, opt.fault, opt.ledger,
-                                     opt.telemetry, site}),
+                                     opt.trace_sink, site}),
         pools_(opt.threads) {
     // Governed runs charge materialize-phase chunks to the query ledger
     // and expose the allocation as a named fault point; ungoverned runs
@@ -145,7 +143,7 @@ class JoinTable {
 
    private:
     const JoinTable& table_;
-    uint64_t hashes_[kRofMaxBlock];
+    uint64_t hashes_[kRofBlock];
   };
 
   size_t size() const { return build_.entry_count(); }

@@ -139,7 +139,7 @@ QueryResult RunSsbQ11(const Database& db, const QueryOptions& opt,
         StagedProbe date_probe(ht_date, [&](size_t i) {
           return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
         });
-        StagedProbeLoop(begin, end, opt.rof_block, pass, resolve, date_probe);
+        StagedProbeLoop(begin, end, pass, resolve, date_probe);
       } else {
         for (size_t i = begin; i < end; ++i) {
           if (!pass(i)) continue;
@@ -291,7 +291,7 @@ QueryResult RunSsbQ21(const Database& db, const QueryOptions& opt,
           return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
         });
         StagedProbeLoop(
-            begin, end, opt.rof_block, kRofAll,
+            begin, end, kRofAll,
             [&](size_t i, uint64_t ph, uint64_t sh, uint64_t dh) {
               resolve(
                   i, [&] { return ph; }, [&] { return sh; },
@@ -463,7 +463,7 @@ QueryResult RunSsbQ31(const Database& db, const QueryOptions& opt,
           return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
         });
         StagedProbeLoop(
-            begin, end, opt.rof_block, kRofAll,
+            begin, end, kRofAll,
             [&](size_t i, uint64_t ch, uint64_t sh, uint64_t dh) {
               resolve(
                   i, [&] { return ch; }, [&] { return sh; },
@@ -663,7 +663,7 @@ QueryResult RunSsbQ41(const Database& db, const QueryOptions& opt,
           return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
         });
         StagedProbeLoop(
-            begin, end, opt.rof_block, kRofAll,
+            begin, end, kRofAll,
             [&](size_t i, uint64_t ch, uint64_t sh, uint64_t ph,
                 uint64_t dh) {
               resolve(

@@ -355,7 +355,7 @@ QueryResult RunQ3(const Database& db, const QueryOptions& opt,
             return HashCrc32(static_cast<uint32_t>(l_orderkey[i]));
           });
           StagedProbeLoop(
-              begin, end, opt.rof_block,
+              begin, end,
               [&](size_t i) { return l_shipdate[i] > date; }, resolve, ord);
         } else {
           for (size_t i = begin; i < end; ++i) {
@@ -614,7 +614,7 @@ QueryResult RunQ9(const Database& db, const QueryOptions& opt,
             return HashCrc32(static_cast<uint32_t>(l_orderkey[i]));
           });
           StagedProbeLoop(
-              begin, end, opt.rof_block, kRofAll,
+              begin, end, kRofAll,
               [&](size_t i, uint64_t ps_h, uint64_t supp_h, uint64_t ord_h) {
                 resolve(
                     i, [&] { return ps_h; }, [&] { return supp_h; },
@@ -828,7 +828,7 @@ QueryResult RunQ18(const Database& db, const QueryOptions& opt,
             return HashCrc32(static_cast<uint32_t>(o_custkey[i]));
           });
           StagedProbeLoop(
-              begin, end, opt.rof_block, kRofAll,
+              begin, end, kRofAll,
               [&](size_t i, uint64_t big_h, uint64_t cust_h) {
                 resolve(
                     i, [&] { return big_h; }, [&] { return cust_h; });

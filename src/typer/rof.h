@@ -15,8 +15,7 @@
 // join table's three probe stages over the block, then resolve a block
 // behind with the prefetch latency hidden. StagedProbeLoop is that shape
 // once, variadic over any number of join tables (Q3 probes one, Q4.1
-// probes four), with the block size a runtime parameter so the tuner can
-// sweep it (QueryOptions::rof_block) instead of a compile-time constant.
+// probes four), in blocks of kRofBlock rows.
 
 namespace vcq::typer {
 
@@ -64,22 +63,21 @@ template <typename Entry, typename HashFn>
 StagedProbe(const JoinTable<Entry>&, HashFn)
     -> StagedProbe<JoinTable<Entry>, HashFn>;
 
-/// The staged probe loop over rows [begin, end): blocks of `block_size`
-/// rows (clamped to [1, kRofMaxBlock]) are filtered, staged through every
-/// probe's three stages, and resolved by
+/// The staged probe loop over rows [begin, end): blocks of kRofBlock rows
+/// are filtered, staged through every probe's three stages, and resolved
+/// by
 /// `body(row, probes.hash(k)...)` — one hash argument per probe, in the
 /// order the probes are passed. Pass kRofAll as `filter` when every row
 /// probes; otherwise `filter(row)` selects the rows to stage.
 template <typename Filter, typename Body, typename... Probes>
-void StagedProbeLoop(size_t begin, size_t end, size_t block_size,
-                     Filter&& filter, Body&& body, Probes&... probes) {
-  block_size = std::clamp<size_t>(block_size, 1, kRofMaxBlock);
+void StagedProbeLoop(size_t begin, size_t end, Filter&& filter, Body&& body,
+                     Probes&... probes) {
   constexpr bool kAllRows =
       std::is_same_v<std::remove_cv_t<std::remove_reference_t<Filter>>,
                      RofAllTag>;
-  size_t idx[kRofMaxBlock];
-  for (size_t block = begin; block < end; block += block_size) {
-    const size_t limit = std::min(end, block + block_size);
+  size_t idx[kRofBlock];
+  for (size_t block = begin; block < end; block += kRofBlock) {
+    const size_t limit = std::min(end, block + kRofBlock);
     size_t n;
     if constexpr (kAllRows) {
       n = limit - block;

@@ -23,8 +23,8 @@
 // (two joins into a group-by — crosses every engine-side point), Q9
 // (four builds, composite keys — the deepest join stack in the catalog),
 // and SSB Q4.1 (four dimension builds on the denormalized schema). The
-// session-side "session.tuner" point only exists on tuned executions and
-// is swept separately below with TuningMode::kLearn.
+// spill-path points only exist under memory pressure and are swept
+// separately below with an over-budget spill run.
 //
 // Determinism contract: at threads=1 hit counts are exact, so the armed
 // ordinal always fires and the assertions are unconditional. At threads=8
@@ -61,8 +61,8 @@ constexpr ExecStatus ExpectedStatus(FaultAction action) {
 }
 
 // One armed execution plus the full drain-clean assertion set. `base`
-// carries everything but threads/fault (e.g. a tuning mode for the
-// session.tuner sweep).
+// carries everything but threads/fault (e.g. the budget and spill flag of
+// the spill-path sweep).
 void RunArmed(Session& session, Engine engine, Query query, size_t threads,
               const char* point, FaultSpec spec, const QueryResult& expected,
               PreparedQuery& clean, QueryOptions base = {}) {
@@ -156,40 +156,6 @@ TEST(FaultSweepTest, EveryPointBothEnginesFirstLastRandomHitDrainsClean) {
     }
   }
 
-  // The bandit arm draw only exists on tuned executions: sweep it with a
-  // learning tuner. The point is crossed exactly once per execution on the
-  // coordinating thread, so ordinal 1 is exact at any thread count — and
-  // the clean reruns double as byte-identity checks for arms the learning
-  // tuner happens to draw.
-  for (Engine engine : {Engine::kTyper, Engine::kTectorwise}) {
-    Session session(TpchDb());
-    QueryOptions tuned;
-    tuned.threads = 1;
-    tuned.tuning = runtime::TuningMode::kLearn;
-    tuned.tuner_seed = 7;
-    PreparedQuery clean = session.Prepare(engine, Query::kQ3, tuned);
-    const QueryResult expected = clean.Execute();
-    ASSERT_TRUE(expected.ok()) << EngineName(engine);
-
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      FaultInjector counter;
-      QueryOptions opt = tuned;
-      opt.threads = threads;
-      opt.fault = &counter;
-      PreparedQuery probe = session.Prepare(engine, Query::kQ3, opt);
-      ASSERT_EQ(probe.Execute(), expected)
-          << EngineName(engine) << " threads=" << threads;
-      ASSERT_EQ(counter.HitCount("session.tuner"), 1u);
-      crossed.insert("session.tuner");
-
-      SCOPED_TRACE(std::string("tuned ") + EngineName(engine) +
-                   " threads=" + std::to_string(threads));
-      RunArmed(session, engine, Query::kQ3, threads, "session.tuner",
-               FaultSpec{FaultAction::kThrowBadAlloc, 1}, expected, clean,
-               tuned);
-    }
-  }
-
   // The spill-path points only exist on spill-enabled executions under
   // memory pressure: sweep them with an over-budget spill run (budget =
   // quarter of the measured in-memory peak, QueryOptions::spill on). The
@@ -268,7 +234,9 @@ TEST(FaultSweepTest, EveryPointBothEnginesFirstLastRandomHitDrainsClean) {
             const size_t live_before = MemPool::live_bytes();
             const size_t gov_before = ResourceGovernor::Global().in_use();
             const QueryResult got = q.Execute();
-            if (threads == 1) EXPECT_GE(armed.FiredCount(), 1u);
+            if (threads == 1) {
+              EXPECT_GE(armed.FiredCount(), 1u);
+            }
             if (armed.FiredCount() > 0) {
               // The absorbed cleanup fault must not leak into the result.
               EXPECT_EQ(got, expected);

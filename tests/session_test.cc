@@ -345,5 +345,19 @@ TEST(SessionTest, ReboundSsbVolcanoMatchesTectorwise) {
   EXPECT_EQ(volcano.Execute(), rebound);
 }
 
+TEST(SessionTest, MeasuredPeakReplacesEstimateAfterFirstRun) {
+  Session session(TpchDb());
+  QueryOptions opt;
+  opt.threads = 1;
+  PreparedQuery q = session.Prepare(Engine::kTectorwise, Query::kQ3, opt);
+  EXPECT_EQ(q.measured_peak_bytes(), 0u);
+  ASSERT_TRUE(q.Execute().ok());
+  const size_t peak = q.measured_peak_bytes();
+  EXPECT_GT(peak, 0u);
+  // Stable across re-executions of the same bindings.
+  ASSERT_TRUE(q.Execute().ok());
+  EXPECT_EQ(q.measured_peak_bytes(), peak);
+}
+
 }  // namespace
 }  // namespace vcq

@@ -148,7 +148,6 @@ TEST(TraceTest, RootOperatorRowsMatchResultCardinality) {
     QueryOptions opt;
     opt.trace = TraceLevel::kSpans;
     opt.trace_sink = &trace;
-    opt.telemetry = &trace.node_telemetry();
     const QueryResult result = prepared.Run(opt, DefaultParams(q));
     ASSERT_TRUE(result.ok()) << name;
     const auto root = trace.OperatorAt(prepared.plan().root());
@@ -262,6 +261,55 @@ TEST(TraceTest, TyperPipelineSpansCoverTheWallTime) {
                               static_cast<double>(t1 - t0));
   }
   EXPECT_GE(best, 0.95);
+}
+
+TEST(TraceTest, JoinBuildTelemetryFollowsTheTraceSink) {
+  // The trace sink is the only switch for per-site build telemetry: a
+  // standalone Tectorwise run with nothing but `trace_sink` set records a
+  // build span at every hash-join node, and at no other node.
+  const tectorwise::Prepared prepared =
+      tectorwise::Prepare(TpchDb(), "Q9", {});
+  const QueryParams params = DefaultParams(Query::kQ9);
+  QueryTrace trace;
+  QueryOptions traced;
+  traced.trace_sink = &trace;
+  const QueryResult tw_traced = prepared.Run(traced, params);
+  ASSERT_TRUE(tw_traced.ok());
+  const auto nodes = prepared.plan().Describe();
+  size_t joins = 0;
+  for (uint32_t i = 0; i < nodes.size(); ++i) {
+    const runtime::NodeTelemetry& telemetry = trace.node_telemetry();
+    if (nodes[i].kind == tectorwise::NodeKind::kHashJoin) {
+      ++joins;
+      EXPECT_GT(telemetry.SpanNs(i), 0u) << "join node " << i;
+      EXPECT_GT(telemetry.SpanTuples(i), 0u) << "join node " << i;
+    } else {
+      EXPECT_EQ(telemetry.SpanNs(i), 0u) << "non-join node " << i;
+    }
+  }
+  EXPECT_EQ(joins, 4u);  // Q9 builds part, partsupp, supplier, orders
+
+  // Typer records each build under its table's site in the trace the
+  // session allocated for the traced execution.
+  Session session(TpchDb());
+  QueryOptions session_traced;
+  session_traced.trace = TraceLevel::kSpans;
+  const QueryResult typer_traced =
+      session.Prepare(Engine::kTyper, Query::kQ9, session_traced).Execute();
+  ASSERT_TRUE(typer_traced.ok());
+  ASSERT_NE(typer_traced.trace, nullptr);
+  EXPECT_GT(typer_traced.trace->node_telemetry().SpanNs(0), 0u);
+  EXPECT_GT(typer_traced.trace->node_telemetry().SpanTuples(0), 0u);
+
+  // Untraced runs of the same query allocate no trace, so the builds have
+  // nowhere to record; the results are the traced ones.
+  const QueryResult tw_plain = prepared.Run({}, params);
+  EXPECT_EQ(tw_plain.trace, nullptr);
+  EXPECT_EQ(tw_plain, tw_traced);
+  const QueryResult typer_plain =
+      session.Prepare(Engine::kTyper, Query::kQ9, {}).Execute();
+  EXPECT_EQ(typer_plain.trace, nullptr);
+  EXPECT_EQ(typer_plain, typer_traced);
 }
 
 TEST(TraceTest, OffLeavesNoTraceBehind) {
