@@ -708,7 +708,13 @@ std::string FormatPipelineSummary(const runtime::QueryTrace& trace) {
     uint32_t workers = 0;
   };
   std::map<uint32_t, Agg> pipes;  // keyed by region ordinal
+  Agg merge;                      // group-by merges (runtime/pre_aggregation.h)
   for (const runtime::TraceSpan& span : trace.Spans()) {
+    if (span.name == "group.merge") {
+      merge.busy_ns += span.duration_ns();
+      merge.tuples += span.tuples;
+      ++merge.workers;
+    }
     if (std::string_view(span.cat) != "pipeline") continue;
     Agg& agg = pipes[span.site];
     agg.busy_ns += span.duration_ns();
@@ -728,6 +734,14 @@ std::string FormatPipelineSummary(const runtime::QueryTrace& trace) {
                   region, agg.workers,
                   static_cast<unsigned long long>(agg.tuples),
                   FmtMs(agg.busy_ns).c_str(), per_tuple);
+    out += buf;
+  }
+  if (merge.workers > 0) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "  group merge  workers=%u flushed=%llu busy=%s\n",
+                  merge.workers, static_cast<unsigned long long>(merge.tuples),
+                  FmtMs(merge.busy_ns).c_str());
     out += buf;
   }
   const runtime::NodeTelemetry& telemetry = trace.node_telemetry();

@@ -89,11 +89,11 @@ const std::vector<const char*>& FaultInjector::KnownPoints() {
       "join_build.insert",       // per-worker insert phase entry
       "join_build.finish",       // before the final build barrier
       "typer.join.materialize",  // Typer build-side row materialization
-      "typer.group.alloc",       // Typer local group-table entry alloc
+      "typer.group.alloc",       // Typer group row-block alloc
       "typer.group.merge",       // Typer partition-parallel group merge
       "tw.join.materialize",     // Tectorwise build-side row scatter
-      "tw.group.alloc",          // Tectorwise group-entry alloc
-      "tw.group.merge",          // Tectorwise spill-partition merge
+      "tw.group.alloc",          // Tectorwise group row-block alloc
+      "tw.group.merge",          // Tectorwise partition-parallel group merge
       "spill.open",              // spill-file create (SpillManager::Create)
       "spill.write",             // spill-segment append (SpillFile::Append)
       "spill.read",              // spill-segment readback (SpillFile::Read)

@@ -63,7 +63,7 @@ struct QueryOptions {
   /// Degrade instead of dying: when set, a memory-budget overage becomes
   /// spill PRESSURE instead of a kResourceExhausted trip — the ledger's
   /// UnderPressure() signal — and spill-capable operators (both engines'
-  /// join-build materialize phases and worker-local group tables) evict
+  /// join-build materialize phases and flushed group-by row blocks) evict
   /// state to temp files Grace-style until usage drops back under budget
   /// (see runtime/spill.h). Results stay byte-identical to in-memory runs.
   bool spill = false;

@@ -116,13 +116,6 @@ void SpillFile::Read(const Segment& seg, void* out) const {
   SpillSpan(mgr_->trace_, "spill.read", start_ns, site_, seg.bytes);
 }
 
-size_t SpillFile::rows_in_partition(uint32_t partition) const {
-  size_t rows = 0;
-  for (const Segment& seg : segments_)
-    if (seg.partition == partition) rows += seg.rows;
-  return rows;
-}
-
 // ---------------------------------------------------------------------------
 // SpillManager
 

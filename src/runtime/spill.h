@@ -16,11 +16,12 @@
 // the memory governor. When a run enables spill (QueryOptions::spill), a
 // memory-budget overage becomes spill PRESSURE instead of a
 // kResourceExhausted trip (QueryLedger::UnderPressure): operators that can
-// evict state — the join builds' materialize-phase chunks, the worker-local
-// group tables — write it to segmented temp files Grace-style and release
-// the memory, then the build insert / group merge streams the spilled
-// segments back partition-at-a-time. Results are byte-identical to
-// in-memory runs; only the peak resident footprint changes.
+// evict state — the join builds' materialize-phase chunks, the group-by
+// row blocks a full local table flushes — write it to segmented temp files
+// Grace-style and release the memory, then the build insert / group merge
+// streams the spilled segments back partition-at-a-time. Results are
+// byte-identical to in-memory runs; only the peak resident footprint
+// changes.
 //
 // Accounting and containment. Spilled bytes are counted per execution
 // (SpillManager::spilled_bytes) against an optional byte limit
@@ -75,8 +76,6 @@ class SpillFile {
   const std::vector<Segment>& segments() const { return segments_; }
   /// Total payload bytes appended to this file.
   size_t bytes_written() const { return write_offset_; }
-  /// Total rows across all segments labeled `partition`.
-  size_t rows_in_partition(uint32_t partition) const;
 
  private:
   friend class SpillManager;

@@ -1,5 +1,6 @@
 #include "tectorwise/hash_group.h"
 
+#include <algorithm>
 #include <cstdint>
 
 namespace vcq::tectorwise {
@@ -13,9 +14,6 @@ HashGroup::HashGroup(Shared* shared, size_t worker_id, size_t worker_count,
       worker_count_(worker_count),
       child_(std::move(child)),
       ctx_(ctx) {
-  // Governed runs charge group-entry chunks to the query ledger and expose
-  // the allocation as a named fault point.
-  pool_.Bind(ctx_.ledger, ctx_.fault, "tw.group.alloc");
   merge_pool_.Bind(ctx_.ledger, ctx_.fault, "tw.group.merge");
   const size_t v = ctx_.vector_size;
   hashes_.Reset(v * sizeof(uint64_t));
@@ -26,7 +24,6 @@ HashGroup::HashGroup(Shared* shared, size_t worker_id, size_t worker_count,
   cand_pos_.Reset(v * sizeof(pos_t));
   match_.Reset(v * sizeof(uint8_t));
   emit_entries_.Reset(v * sizeof(std::byte*));
-  local_ht_.SetSize(2048);
   compactor_.Configure(ctx_);
 }
 
@@ -47,20 +44,19 @@ size_t HashGroup::AddMinAgg(Slot* col) { return AddAgg(col, AggKind::kMin); }
 
 size_t HashGroup::AddMaxAgg(Slot* col) { return AddAgg(col, AggKind::kMax); }
 
-void HashGroup::GrowLocalTable() {
-  local_ht_.SetSize(local_count_ * 4);
-  auto& spill = shared_->spills[worker_id_];
-  for (auto& part : spill.parts) {
-    for (std::byte* e : part)
-      local_ht_.InsertUnlocked(reinterpret_cast<Hashmap::EntryHeader*>(e));
-  }
+runtime::GroupEnv HashGroup::env() const {
+  // Governed runs charge the row blocks and both directories to the query
+  // ledger and expose the allocations as named fault points.
+  return {ctx_.cancel, ctx_.fault, ctx_.ledger,      ctx_.spill,
+          ctx_.trace,  ctx_.site,  "tw.group.alloc", "tw.group.merge",
+          "tw.group"};
 }
 
 std::byte* HashGroup::InsertGroup(uint64_t hash, pos_t p) {
-  // Re-check the chain first: an earlier miss in this batch (or a tag false
-  // negative against a just-grown table) may have created the group already.
-  for (Hashmap::EntryHeader* e = local_ht_.FindChain(hash); e != nullptr;
-       e = e->next) {
+  // Re-check the chain first: an earlier miss in this batch may have
+  // created the group already.
+  for (Hashmap::EntryHeader* e = local_->directory().FindChainTagged(hash);
+       e != nullptr; e = e->next) {
     if (e->hash != hash) continue;
     auto* bytes = reinterpret_cast<std::byte*>(e);
     bool equal = true;
@@ -72,12 +68,7 @@ std::byte* HashGroup::InsertGroup(uint64_t hash, pos_t p) {
     }
     if (equal) return bytes;
   }
-  if ((local_count_ + 1) * 2 > local_ht_.capacity()) GrowLocalTable();
-
-  auto* entry = static_cast<std::byte*>(pool_.Allocate(entry_size()));
-  auto* header = reinterpret_cast<Hashmap::EntryHeader*>(entry);
-  header->next = nullptr;
-  header->hash = hash;
+  std::byte* entry = local_->Insert(hash);
   // Zero the key region (memcmp-comparable padding) and the aggregates,
   // then overwrite min/max accumulators with their fold identities.
   std::memset(entry + sizeof(Hashmap::EntryHeader), 0,
@@ -90,9 +81,6 @@ std::byte* HashGroup::InsertGroup(uint64_t hash, pos_t p) {
     }
   }
   for (const KeySteps& key : key_steps_) key.init(entry, p);
-  local_ht_.InsertUnlocked(header);
-  shared_->spills[worker_id_].parts[PartitionOf(hash)].push_back(entry);
-  ++local_count_;
   return entry;
 }
 
@@ -108,9 +96,10 @@ void HashGroup::FindGroups(size_t n) {
   for (size_t k = 0; k < n; ++k) groups[k] = nullptr;
 
   // findCandidates against the local table (vectorized fast path).
+  const Hashmap& local = local_->directory();
   size_t m = 0;
   for (size_t k = 0; k < n; ++k) {
-    Hashmap::EntryHeader* e = local_ht_.FindChainTagged(hashes[k]);
+    Hashmap::EntryHeader* e = local.FindChainTagged(hashes[k]);
     cand[m] = e;
     cand_k[m] = static_cast<pos_t>(k);
     cand_pos[m] = pos[k];
@@ -143,37 +132,15 @@ void HashGroup::FindGroups(size_t n) {
   }
 }
 
-void HashGroup::MaybeSpillLocal() {
-  // Batch boundary is the one safe point to evict: FindGroups/aggregate
-  // updates hold group pointers only within a batch. Evict the whole local
-  // table — partition-segmented, creation order per partition — and start
-  // empty; a spilled key that reappears pre-aggregates into a fresh entry
-  // and MergePartitions combines the duplicates.
-  if (ctx_.spill == nullptr || local_count_ < kSpillMinGroups ||
-      ctx_.ledger == nullptr || !ctx_.ledger->UnderPressure())
-    return;
-  runtime::SpillFile*& file = shared_->spill_files[worker_id_];
-  if (file == nullptr) file = ctx_.spill->Create("tw.group", ctx_.site);
-  const size_t stride = entry_size();
-  std::vector<std::byte> buf;
-  auto& parts = shared_->spills[worker_id_].parts;
-  for (size_t p = 0; p < kPartitions; ++p) {
-    std::vector<std::byte*>& part = parts[p];
-    if (part.empty()) continue;
-    buf.resize(part.size() * stride);
-    for (size_t i = 0; i < part.size(); ++i)
-      std::memcpy(buf.data() + i * stride, part[i], stride);
-    file->Append(static_cast<uint32_t>(p), buf.data(), buf.size(),
-                 part.size());
-    part.clear();
-  }
-  pool_.Release();
-  local_ht_.Clear();
-  local_count_ = 0;
-}
-
 void HashGroup::ProcessBatch(size_t n, const pos_t* sel) {
-  MaybeSpillLocal();
+  // Batch boundary (no group pointer is held across it): create the table
+  // once the joins below have built, so their peak excludes its directory,
+  // or flush it when full.
+  if (local_ == nullptr) {
+    local_ = std::make_unique<runtime::LocalGroups>(entry_size(), env());
+  } else if (local_->full()) {
+    local_->Flush();
+  }
   uint64_t* hashes = hashes_.As<uint64_t>();
   pos_t* pos = pos_.As<pos_t>();
   std::byte** groups = groups_.As<std::byte*>();
@@ -234,6 +201,7 @@ void HashGroup::ConsumeChild() {
     compactor_.BeginBatch();
   }
   stats_.FlushToGlobal();
+  shared_->locals[worker_id_] = local_.get();
 
   // Token-aware phase barriers: a worker that died mid-scan (exception
   // backstop) never arrives, so waiters poll the tripped token, withdraw
@@ -253,121 +221,30 @@ void HashGroup::ConsumeChild() {
 void HashGroup::MergePartitions() {
   const size_t key_offset = sizeof(Hashmap::EntryHeader);
   const size_t key_len = key_end_ - key_offset;
-  const size_t stride = entry_size();
-  bool any_spilled = false;
-  for (runtime::SpillFile* f : shared_->spill_files)
-    any_spilled |= (f != nullptr);
-  std::vector<std::byte> buf;
-
-  for (size_t p = worker_id_; p < kPartitions; p += worker_count_) {
-    // Poll per partition: a deadline/budget trip mid-merge drains promptly
-    // instead of merging groups nobody will read.
-    if (runtime::Interrupted(ctx_.cancel)) return;
-    runtime::FaultHit(ctx_.fault, "tw.group.merge", ctx_.cancel);
-    std::vector<std::byte*>& out = shared_->merged[p];
-    // The move fast path is only valid when nothing spilled: spilled
-    // segments can duplicate live keys, which need the dedup below.
-    if (worker_count_ == 1 && !any_spilled) {
-      out = std::move(shared_->spills[0].parts[p]);
-      continue;
-    }
-    size_t total = 0;
-    for (size_t w = 0; w < shared_->spills.size(); ++w) {
-      total += shared_->spills[w].parts[p].size();
-      if (const runtime::SpillFile* f = shared_->spill_files[w])
-        total += f->rows_in_partition(static_cast<uint32_t>(p));
-    }
-    if (total == 0) continue;
-    Hashmap merge_ht;
-    merge_ht.SetSize(total);
-    out.reserve(total);
-    // `owned` entries live in a worker pool and can be linked in place;
-    // spilled rows live in the read buffer and are copied into merge_pool_
-    // when they turn out to be a partition-first occurrence.
-    auto merge_one = [&](std::byte* entry, bool owned) {
-      auto* header = reinterpret_cast<Hashmap::EntryHeader*>(entry);
-      Hashmap::EntryHeader* existing = nullptr;
-      for (Hashmap::EntryHeader* e = merge_ht.FindChain(header->hash);
-           e != nullptr; e = e->next) {
-        if (e->hash == header->hash &&
-            std::memcmp(reinterpret_cast<std::byte*>(e) + key_offset,
-                        entry + key_offset, key_len) == 0) {
-          existing = e;
-          break;
-        }
-      }
-      if (existing == nullptr) {
-        std::byte* keep = entry;
-        if (!owned) {
-          keep = static_cast<std::byte*>(merge_pool_.Allocate(stride));
-          std::memcpy(keep, entry, stride);
-        }
-        merge_ht.InsertUnlocked(reinterpret_cast<Hashmap::EntryHeader*>(keep));
-        out.push_back(keep);
-      } else {
-        auto* dst = reinterpret_cast<std::byte*>(existing);
+  runtime::MergeGroups(
+      shared_->locals, worker_id_, worker_count_, env(), merge_pool_,
+      shared_->merged,
+      [&](const std::byte* a, const std::byte* b) {
+        return std::memcmp(a + key_offset, b + key_offset, key_len) == 0;
+      },
+      [&](std::byte* into, const std::byte* from) {
         for (const AggDecl& agg : aggs_) {
-          auto* acc = reinterpret_cast<int64_t*>(dst + agg.offset);
+          int64_t& acc = *reinterpret_cast<int64_t*>(into + agg.offset);
           const int64_t v =
-              *reinterpret_cast<const int64_t*>(entry + agg.offset);
-          switch (agg.kind) {
-            case AggKind::kSum:
-            case AggKind::kCount:
-              *acc += v;
-              break;
-            case AggKind::kMin:
-              if (v < *acc) *acc = v;
-              break;
-            case AggKind::kMax:
-              if (v > *acc) *acc = v;
-              break;
-          }
+              *reinterpret_cast<const int64_t*>(from + agg.offset);
+          acc = agg.kind == AggKind::kMin   ? std::min(acc, v)
+                : agg.kind == AggKind::kMax ? std::max(acc, v)
+                                            : acc + v;  // sum, count
         }
-      }
-    };
-    for (size_t w = 0; w < shared_->spills.size(); ++w) {
-      // Spilled rows first: they were created before anything still live
-      // in worker w's table, and first-seen order is the output order —
-      // this keeps merge output byte-identical to an in-memory run.
-      if (const runtime::SpillFile* f = shared_->spill_files[w]) {
-        for (const auto& seg : f->segments()) {
-          if (seg.partition != p) continue;
-          buf.resize(seg.bytes);
-          f->Read(seg, buf.data());
-          for (size_t k = 0; k < seg.rows; ++k)
-            merge_one(buf.data() + k * stride, /*owned=*/false);
-        }
-      }
-      for (std::byte* entry : shared_->spills[w].parts[p])
-        merge_one(entry, /*owned=*/true);
-    }
-  }
+      });
 }
 
 size_t HashGroup::Next() {
   if (!consumed_) ConsumeChild();
-  if (!dense_output_) {
-    // Emit merged groups from owned partitions, one vector at a time;
-    // batches end at partition boundaries (seed behavior).
-    while (emit_partition_ < kPartitions) {
-      const std::vector<std::byte*>& part = shared_->merged[emit_partition_];
-      if (emit_index_ >= part.size()) {
-        emit_partition_ += worker_count_;
-        emit_index_ = 0;
-        continue;
-      }
-      const size_t n =
-          std::min(ctx_.vector_size, part.size() - emit_index_);
-      for (const Output& o : outputs_) o.gather(n, part.data() + emit_index_);
-      emit_index_ += n;
-      sel_ = nullptr;
-      return n;
-    }
-    return kEndOfStream;
-  }
-  // Partition-emission compaction: pack groups from consecutive owned
-  // partitions into one full output vector (group order is unchanged, only
-  // the batch boundaries move).
+  // Emit merged groups from owned partitions, one vector at a time. Batches
+  // end at partition boundaries unless partition-emission compaction packs
+  // consecutive owned partitions into full vectors (group order is the
+  // same, only the batch boundaries move).
   std::byte** entries = emit_entries_.As<std::byte*>();
   size_t n = 0;
   size_t chunks = 0;
@@ -385,6 +262,7 @@ size_t HashGroup::Next() {
     n += take;
     emit_index_ += take;
     ++chunks;
+    if (!dense_output_) break;
   }
   if (n == 0) return kEndOfStream;
   for (const Output& o : outputs_) o.gather(n, entries);

@@ -11,18 +11,19 @@
 #include "runtime/barrier.h"
 #include "runtime/hashmap.h"
 #include "runtime/mem_pool.h"
+#include "runtime/pre_aggregation.h"
 #include "tectorwise/core.h"
 #include "tectorwise/operators.h"
 #include "tectorwise/steps.h"
 
 namespace vcq::tectorwise {
 
-/// Vectorized hash aggregation (paper §2.2, §3.2): two phases for
-/// cache-friendly parallelization. Phase one: each worker pre-aggregates
-/// into a worker-local hash table, spilling group pointers into hash
-/// partitions. Phase two (after a barrier): partitions are assigned to
-/// workers, each merging all workers' spilled groups for its partitions and
-/// then emitting them vector-at-a-time.
+/// Vectorized hash aggregation (paper §2.2, §3.2), the two-phase scheme of
+/// runtime/pre_aggregation.h. Phase one: each worker pre-aggregates into a
+/// bounded local table (runtime::LocalGroups) that flushes at the first
+/// batch boundary where it is full, so it exceeds its capacity by at most
+/// one batch. Phase two (after a barrier): each worker merges all workers'
+/// flushed rows for its partitions and emits them vector-at-a-time.
 ///
 /// Group lookup mirrors the join's probe structure: hash primitives ->
 /// tagged candidates -> per-key-column compare primitives -> advance loop;
@@ -33,26 +34,16 @@ namespace vcq::tectorwise {
 /// key equality is a memcmp over the zero-padded key region.
 class HashGroup : public Operator {
  public:
-  static constexpr size_t kPartitions = 64;
+  static constexpr size_t kPartitions = runtime::kGroupPartitions;
 
   struct Shared {
     explicit Shared(size_t thread_count)
-        : barrier(thread_count),
-          spills(thread_count),
-          spill_files(thread_count, nullptr) {}
-
-    struct Spill {
-      std::array<std::vector<std::byte*>, kPartitions> parts;
-    };
+        : barrier(thread_count), locals(thread_count, nullptr) {}
 
     runtime::Barrier barrier;
-    std::vector<Spill> spills;                                // per worker
-    /// Per-worker disk-spill files (runtime/spill.h) holding group entries
-    /// evicted under memory pressure; written by the owning worker before
-    /// the phase barrier, read by the merge workers after it. All nullptr
-    /// on in-memory runs. (Distinct from `spills` above, which is the
-    /// paper's in-memory pointer partitioning.)
-    std::vector<runtime::SpillFile*> spill_files;
+    /// Per-worker local tables, published before the phase barrier
+    /// (nullptr for a worker that died mid-scan).
+    std::vector<runtime::LocalGroups*> locals;
     std::array<std::vector<std::byte*>, kPartitions> merged;  // per partition
   };
 
@@ -133,6 +124,9 @@ class HashGroup : public Operator {
 
   size_t Next() override;
 
+  /// This worker's local table (nullptr before its first input batch).
+  const runtime::LocalGroups* local_groups() const { return local_.get(); }
+
  private:
   struct KeyHashKind {
     HashStep hash;      // set for the first key
@@ -151,15 +145,12 @@ class HashGroup : public Operator {
     std::function<void(size_t m, std::byte* const* entries)> gather;
   };
 
-  static size_t PartitionOf(uint64_t hash) { return (hash >> 52) & 63; }
-
   size_t entry_size() const { return AlignUp(agg_end_, 8); }
+  runtime::GroupEnv env() const;
   void ConsumeChild();
-  void MaybeSpillLocal();
   void ProcessBatch(size_t n, const pos_t* sel);
   void FindGroups(size_t n);
   std::byte* InsertGroup(uint64_t hash, pos_t p);
-  void GrowLocalTable();
   void MergePartitions();
 
   Shared* shared_;
@@ -186,15 +177,8 @@ class HashGroup : public Operator {
   size_t agg_begin_ = 0;
   size_t agg_end_ = 0;
 
-  /// Don't bother spilling fewer groups than this: eviction must actually
-  /// relieve memory, and a near-empty table under pressure from elsewhere
-  /// would spill every new group one at a time.
-  static constexpr size_t kSpillMinGroups = 256;
-
-  runtime::Hashmap local_ht_;
-  runtime::MemPool pool_;
+  std::unique_ptr<runtime::LocalGroups> local_;
   runtime::MemPool merge_pool_;  // owns entries rehydrated from spill files
-  size_t local_count_ = 0;
   Compactor compactor_;  // input densification (batch compaction point)
   LocalBatchStats stats_;
 
@@ -211,7 +195,7 @@ class HashGroup : public Operator {
   VecBuffer cand_k_;
   VecBuffer cand_pos_;
   VecBuffer match_;
-  VecBuffer emit_entries_;  // cross-partition gather list (dense output)
+  VecBuffer emit_entries_;  // gather list of the next output batch
 };
 
 }  // namespace vcq::tectorwise

@@ -692,6 +692,7 @@ std::string ExplainAnalyzeTree(const Plan& plan,
                                size_t vector_size) {
   const std::vector<Plan::NodeInfo> infos = plan.Describe();
   if (vector_size == 0) vector_size = kDefaultVectorSize;
+  const std::vector<runtime::TraceSpan> spans = trace.Spans();
 
   std::string out;
   // Depth-first from the root; self time = inclusive busy ns minus the
@@ -736,6 +737,20 @@ std::string ExplainAnalyzeTree(const Plan& plan,
           const uint64_t probe_ns =
               self_ns > build_ns ? self_ns - build_ns : 0;
           out += " build=" + FmtMs(build_ns) + " probe=" + FmtMs(probe_ns);
+        }
+        // A group-by's merge span: rows in -> flushed rows -> groups out.
+        if (info.kind == NodeKind::kHashGroup) {
+          uint64_t merge_ns = 0;
+          uint64_t flushed = 0;
+          for (const runtime::TraceSpan& span : spans) {
+            if (span.site != index || span.name != "group.merge") continue;
+            merge_ns += span.duration_ns();
+            flushed += span.tuples;
+          }
+          std::snprintf(buf, sizeof(buf), " flushed=%llu merge=%s",
+                        static_cast<unsigned long long>(flushed),
+                        FmtMs(merge_ns).c_str());
+          out += buf;
         }
         if (const uint64_t spilled = trace.SpillBytesAt(index);
             spilled != 0) {

@@ -2,243 +2,112 @@
 #define VCQ_TYPER_GROUP_TABLE_H_
 
 #include <array>
-#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <vector>
 
-#include "runtime/hashmap.h"
-#include "runtime/mem_pool.h"
-#include "runtime/resource_governor.h"
-#include "runtime/spill.h"
+#include "runtime/options.h"
+#include "runtime/pre_aggregation.h"
 #include "runtime/worker_pool.h"
 
-// Group-by support for the Typer engine. The aggregation algorithm is the
-// same two-phase scheme both engines share (paper §3.2): worker-local
-// pre-aggregation that spills group pointers into hash partitions, then a
-// parallel per-partition merge. Unlike Tectorwise, everything here is
-// template-inlined into the query's fused loop — no per-vector indirection,
-// keys live in registers until the group update (paper §2).
+// Group-by support for the Typer engine: the two-phase aggregation of
+// runtime/pre_aggregation.h (paper §3.2). Each worker pre-aggregates into
+// a bounded local table; when kLocalGroupCapacity groups are live the
+// table flushes (its rows stay in their hash-partition blocks, or go to
+// disk under spill pressure) and starts empty. MergeLocalGroups then
+// combines the flushed rows one partition at a time. Only the lookup loop
+// is Typer's own: FindOrCreate is template-inlined into the query's fused
+// loop, so keys stay in registers until the group update (paper §2).
 
 namespace vcq::typer {
 
-inline constexpr size_t kGroupPartitions = 64;
-
-inline size_t GroupPartitionOf(uint64_t hash) { return (hash >> 52) & 63; }
+inline runtime::GroupEnv GroupEnvFor(const runtime::QueryOptions& opt) {
+  return {opt.cancel,     opt.fault,       opt.ledger,
+          opt.spill_manager, opt.trace_sink, runtime::QueryTrace::kNoSite,
+          "typer.group.alloc", "typer.group.merge", "typer.group"};
+}
 
 /// Worker-local aggregation table. Entry must begin with a
 /// runtime::Hashmap::EntryHeader member named `header`.
-///
-/// Spill-capable (runtime/spill.h): on governed spill-enabled runs,
-/// FindOrCreate polls the ledger's pressure signal at its entry — the one
-/// point where no caller holds a group pointer across the call — and under
-/// pressure evicts the whole local table to a hash-partitioned spill file
-/// and starts empty. A spilled key that reappears simply pre-aggregates
-/// into a fresh local entry; MergeLocalGroups re-reads the spilled
-/// segments and combines duplicates, so final aggregates (and the merge's
-/// first-seen output order) are byte-identical to in-memory runs.
 template <typename Entry>
 class LocalGroupTable {
   static_assert(std::is_trivially_copyable_v<Entry>,
-                "group spill relocates entries bytewise");
+                "group flush and spill relocate entries bytewise");
 
  public:
-  LocalGroupTable() { ht_.SetSize(2048); }
-
-  /// Governed construction: group-entry allocations are charged to the
-  /// run's memory ledger and exposed as the "typer.group.alloc" fault
-  /// point. The pipelines construct their local tables with this overload;
-  /// the default ctor stays for ungoverned/standalone use.
   explicit LocalGroupTable(const runtime::QueryOptions& opt)
-      : ledger_(opt.ledger), spill_mgr_(opt.spill_manager) {
-    pool_.Bind(opt.ledger, opt.fault, "typer.group.alloc");
-    ht_.SetSize(2048);
-  }
+      : groups_(sizeof(Entry), GroupEnvFor(opt)) {}
 
   /// Returns the group for `hash`, creating it with `init(Entry*)` when
   /// absent. `eq(const Entry&)` decides key equality against the probe key
   /// held in the caller's registers. The returned pointer is valid until
-  /// the next FindOrCreate (which may spill the table).
+  /// the next FindOrCreate (which may flush the table).
   template <typename EqFn, typename InitFn>
   Entry* FindOrCreate(uint64_t hash, EqFn&& eq, InitFn&& init) {
-    if (spill_mgr_ != nullptr) MaybeSpill();
-    for (auto* e = ht_.FindChainTagged(hash); e != nullptr; e = e->next) {
+    for (auto* e = groups_.directory().FindChainTagged(hash); e != nullptr;
+         e = e->next) {
       if (e->hash == hash && eq(*reinterpret_cast<Entry*>(e)))
         return reinterpret_cast<Entry*>(e);
     }
-    if ((count_ + 1) * 2 > ht_.capacity()) Grow();
-    Entry* entry = pool_.template Create<Entry>();
-    entry->header.next = nullptr;
-    entry->header.hash = hash;
+    if (groups_.full()) groups_.Flush();
+    auto* entry = reinterpret_cast<Entry*>(groups_.Insert(hash));
     init(entry);
-    ht_.InsertUnlocked(&entry->header);
-    parts[GroupPartitionOf(hash)].push_back(entry);
-    ++count_;
     return entry;
   }
 
-  size_t size() const { return count_; }
-  /// Spilled pre-aggregated entries of this worker (nullptr = none);
-  /// consumed by MergeLocalGroups.
-  const runtime::SpillFile* spill_file() const { return spill_; }
-
-  std::array<std::vector<Entry*>, kGroupPartitions> parts;
+  runtime::LocalGroups& groups() { return groups_; }
 
  private:
-  /// Don't bother spilling fewer groups than this: eviction must actually
-  /// relieve memory, and a near-empty table under pressure from elsewhere
-  /// (e.g. a resident join arena) would otherwise spill every new group
-  /// one at a time.
-  static constexpr size_t kSpillMinGroups = 256;
-
-  void MaybeSpill() {
-    if (count_ < kSpillMinGroups || ledger_ == nullptr ||
-        !ledger_->UnderPressure())
-      return;
-    if (spill_ == nullptr) spill_ = spill_mgr_->Create("typer.group");
-    std::vector<std::byte> buf;
-    for (size_t p = 0; p < kGroupPartitions; ++p) {
-      std::vector<Entry*>& part = parts[p];
-      if (part.empty()) continue;
-      buf.resize(part.size() * sizeof(Entry));
-      for (size_t i = 0; i < part.size(); ++i)
-        std::memcpy(buf.data() + i * sizeof(Entry), part[i], sizeof(Entry));
-      spill_->Append(static_cast<uint32_t>(p), buf.data(), buf.size(),
-                     part.size());
-      part.clear();
-    }
-    pool_.Release();
-    ht_.Clear();
-    count_ = 0;
-  }
-
-  void Grow() {
-    ht_.SetSize(count_ * 4);
-    for (auto& part : parts)
-      for (Entry* e : part) ht_.InsertUnlocked(&e->header);
-  }
-
-  runtime::Hashmap ht_;
-  runtime::MemPool pool_;
-  size_t count_ = 0;
-  runtime::QueryLedger* ledger_ = nullptr;
-  runtime::SpillManager* spill_mgr_ = nullptr;
-  runtime::SpillFile* spill_ = nullptr;
+  runtime::LocalGroups groups_;
 };
 
-/// MergeLocalGroups result: the distinct merged groups plus the merge-side
-/// pools that own any entries rehydrated from spill files. Keep the struct
-/// alive as long as the group pointers are read (the pipelines hold it
-/// until the result rows are built).
+/// MergeLocalGroups result: the merged groups plus the pools that own the
+/// entries read back from spill files. Keep it alive while the group
+/// pointers are read (the pipelines hold it until the result is built).
 template <typename Entry>
 struct MergedGroups {
   std::vector<Entry*> groups;
   std::vector<runtime::MemPool> pools;  // one per merge worker
 };
 
-/// Parallel partition-wise merge of all workers' local tables — live
-/// entries plus any spilled segments (re-read partition-at-a-time, each
-/// worker's spilled rows before its live rows, i.e. creation order, so the
-/// first-seen output order is byte-identical to an in-memory run). Entry
-/// must provide `bool KeyEquals(const Entry&) const` and `void
-/// Combine(const Entry&)`. Group order across partitions is unspecified
-/// (the pipelines sort).
+/// Parallel partition-wise merge of all workers' flushed rows. Entry must
+/// provide `bool KeyEquals(const Entry&) const` and `void Combine(const
+/// Entry&)`. Group order is unspecified (the pipelines sort).
 template <typename Entry>
 MergedGroups<Entry> MergeLocalGroups(
     std::vector<std::unique_ptr<LocalGroupTable<Entry>>>& locals,
     const runtime::QueryOptions& opt) {
-  const size_t threads = opt.threads;
-  std::array<std::vector<Entry*>, kGroupPartitions> merged;
+  // A worker that died mid-scan has no table: merge the survivors' rows
+  // (the tripped token discards the result anyway).
+  std::vector<runtime::LocalGroups*> tables;
+  for (const auto& local : locals)
+    tables.push_back(local != nullptr ? &local->groups() : nullptr);
+  const runtime::GroupEnv env = GroupEnvFor(opt);
+  std::array<std::vector<std::byte*>, runtime::kGroupPartitions> merged;
   MergedGroups<Entry> result;
-  result.pools.resize(threads);
+  result.pools.resize(opt.threads);
   for (runtime::MemPool& pool : result.pools)
-    pool.Bind(opt.ledger, opt.fault, "typer.group.merge");
-  // Work hint in tuples, like every other region: the groups this merge
-  // reads across all local tables.
-  size_t total_groups = 0;
-  bool any_spilled = false;
-  for (const auto& local : locals) {
-    if (local == nullptr) continue;
-    total_groups += local->size();
-    if (const runtime::SpillFile* f = local->spill_file()) {
-      any_spilled = true;
-      for (const auto& seg : f->segments()) total_groups += seg.rows;
-    }
+    pool.Bind(opt.ledger, opt.fault, env.merge_point);
+  runtime::PoolFor(opt).Run(
+      opt, runtime::FlushedRows(tables), [&](size_t wid) {
+        runtime::MergeGroups(
+            tables, wid, opt.threads, env, result.pools[wid], merged,
+            [](const std::byte* a, const std::byte* b) {
+              return reinterpret_cast<const Entry*>(a)->KeyEquals(
+                  *reinterpret_cast<const Entry*>(b));
+            },
+            [](std::byte* into, const std::byte* from) {
+              reinterpret_cast<Entry*>(into)->Combine(
+                  *reinterpret_cast<const Entry*>(from));
+            });
+      });
+  size_t groups = 0;
+  for (const auto& part : merged) groups += part.size();
+  result.groups.reserve(groups);
+  for (const auto& part : merged) {
+    for (std::byte* g : part)
+      result.groups.push_back(reinterpret_cast<Entry*>(g));
   }
-  runtime::PoolFor(opt).Run(opt, total_groups, [&](size_t wid) {
-    std::vector<std::byte> buf;
-    for (size_t p = wid; p < kGroupPartitions; p += threads) {
-      // The merge is the query's serial-phase tail: poll the token per
-      // partition so a deadline/budget trip after the scan phase still
-      // drains promptly instead of merging groups nobody will see.
-      if (runtime::Interrupted(opt.cancel)) return;
-      runtime::FaultHit(opt.fault, "typer.group.merge", opt.cancel);
-      size_t total = 0;
-      // A worker that died mid-scan (exception backstop) never created its
-      // local table; merge what the survivors produced — the result is
-      // discarded anyway once the tripped token surfaces.
-      for (const auto& local : locals) {
-        if (local == nullptr) continue;
-        total += local->parts[p].size();
-        if (const runtime::SpillFile* f = local->spill_file())
-          total += f->rows_in_partition(static_cast<uint32_t>(p));
-      }
-      if (total == 0) continue;
-      if (locals.size() == 1 && locals[0] != nullptr && !any_spilled) {
-        merged[p] = std::move(locals[0]->parts[p]);
-        continue;
-      }
-      runtime::Hashmap ht;
-      ht.SetSize(total);
-      std::vector<Entry*>& out = merged[p];
-      out.reserve(total);
-      auto combine_or_insert = [&](const Entry& e, auto&& materialize) {
-        Entry* existing = nullptr;
-        for (auto* c = ht.FindChain(e.header.hash); c != nullptr;
-             c = c->next) {
-          auto* ce = reinterpret_cast<Entry*>(c);
-          if (c->hash == e.header.hash && ce->KeyEquals(e)) {
-            existing = ce;
-            break;
-          }
-        }
-        if (existing == nullptr) {
-          Entry* owned = materialize();
-          owned->header.next = nullptr;
-          ht.InsertUnlocked(&owned->header);
-          out.push_back(owned);
-        } else {
-          existing->Combine(e);
-        }
-      };
-      for (const auto& local : locals) {
-        if (local == nullptr) continue;
-        // Spilled rows first: they were created before anything still live
-        // in this worker's table, and first-seen order is the output order.
-        if (const runtime::SpillFile* f = local->spill_file()) {
-          for (const auto& seg : f->segments()) {
-            if (seg.partition != p) continue;
-            buf.resize(seg.bytes);
-            f->Read(seg, buf.data());
-            for (size_t k = 0; k < seg.rows; ++k) {
-              Entry tmp;
-              std::memcpy(&tmp, buf.data() + k * sizeof(Entry),
-                          sizeof(Entry));
-              combine_or_insert(tmp, [&]() {
-                Entry* owned = result.pools[wid].template Create<Entry>();
-                *owned = tmp;
-                return owned;
-              });
-            }
-          }
-        }
-        for (Entry* e : local->parts[p])
-          combine_or_insert(*e, [&]() { return e; });
-      }
-    }
-  });
-  for (auto& part : merged)
-    result.groups.insert(result.groups.end(), part.begin(), part.end());
   return result;
 }
 

@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "runtime/cancel.h"
+#include "runtime/mem_pool.h"
+#include "runtime/pre_aggregation.h"
+#include "runtime/resource_governor.h"
+#include "runtime/spill.h"
 #include "runtime/worker_pool.h"
 #include "tectorwise/steps.h"
 
@@ -81,6 +94,177 @@ INSTANTIATE_TEST_SUITE_P(
                       GroupConfig{16, 1, 997}, GroupConfig{1024, 4, 4},
                       GroupConfig{1024, 4, 10000}, GroupConfig{511, 3, 997},
                       GroupConfig{1024, 8, 40000}));
+
+// Cardinalities far above the local table's capacity: every worker
+// flushes many times (at batch boundaries, so the table may overshoot by
+// one batch), and the merge combines the flushed rows. Two rows per key,
+// adjacent ("clustered", like lineitem by orderkey) or a full cardinality
+// apart ("scattered").
+struct OverflowConfig {
+  size_t cardinality;
+  bool clustered;
+  size_t threads;
+  size_t vector_size;
+};
+
+using GroupRows = std::vector<std::tuple<int64_t, int64_t, int64_t>>;
+
+const Relation& OverflowInput(size_t cardinality, bool clustered) {
+  static std::map<std::pair<size_t, bool>, std::unique_ptr<Relation>> cache;
+  std::unique_ptr<Relation>& rel = cache[{cardinality, clustered}];
+  if (rel == nullptr) {
+    rel = std::make_unique<Relation>();
+    const size_t rows = 2 * cardinality;
+    auto key = rel->AddColumn<int64_t>("key", rows);
+    auto val = rel->AddColumn<int64_t>("val", rows);
+    for (size_t i = 0; i < rows; ++i) {
+      key[i] = clustered ? static_cast<int64_t>(i / 2)
+                         : static_cast<int64_t>((i * 7919) % cardinality);
+      val[i] = static_cast<int64_t>(i % 1000);
+    }
+  }
+  return *rel;
+}
+
+GroupRows OverflowReference(const Relation& rel) {
+  const auto keys = rel.Col<int64_t>("key");
+  const auto vals = rel.Col<int64_t>("val");
+  std::map<int64_t, std::pair<int64_t, int64_t>> ref;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto& [sum, count] = ref[keys[i]];
+    sum += vals[i];
+    count += 1;
+  }
+  GroupRows out;
+  for (const auto& [key, agg] : ref)
+    out.emplace_back(key, agg.first, agg.second);
+  return out;
+}
+
+/// Groups `rel` by key (sum, count) on `threads` workers; `peak_live`
+/// receives the largest local directory occupancy of any worker and
+/// `flushed` the rows the merge read.
+GroupRows GroupOverflow(const Relation& rel, size_t threads,
+                        const ExecContext& ctx, size_t* peak_live,
+                        size_t* flushed) {
+  Scan::Shared ss(rel.tuple_count(),
+                  std::max<size_t>(ctx.vector_size, 16384));
+  HashGroup::Shared gs(threads);
+  GroupRows got;
+  std::mutex mu;
+  std::vector<std::unique_ptr<HashGroup>> groups(threads);
+  runtime::WorkerPool::Global().Run(threads, [&](size_t wid) {
+    auto scan = std::make_unique<Scan>(&ss, &rel, ctx.vector_size);
+    Slot* key = scan->AddColumn<int64_t>("key");
+    Slot* val = scan->AddColumn<int64_t>("val");
+    groups[wid] = std::make_unique<HashGroup>(&gs, wid, threads,
+                                              std::move(scan), ctx);
+    HashGroup& group = *groups[wid];
+    Slot* o_key = group.AddOutput<int64_t>(group.AddKey<int64_t>(key));
+    Slot* o_sum = group.AddOutput<int64_t>(group.AddSumAgg(val));
+    Slot* o_cnt = group.AddOutput<int64_t>(group.AddCountAgg());
+    size_t n;
+    while ((n = group.Next()) != kEndOfStream) {
+      std::lock_guard<std::mutex> lock(mu);
+      for (size_t i = 0; i < n; ++i) {
+        got.emplace_back(Get<int64_t>(o_key)[i], Get<int64_t>(o_sum)[i],
+                         Get<int64_t>(o_cnt)[i]);
+      }
+    }
+  });
+  *flushed = 0;
+  for (const auto& group : groups) {
+    const runtime::LocalGroups* local = group->local_groups();
+    if (local == nullptr) continue;  // this worker saw no input batch
+    EXPECT_EQ(local->directory().capacity(),
+              2 * runtime::kLocalGroupCapacity)
+        << "the local directory is fixed-size";
+    *peak_live = std::max(*peak_live, local->peak_live());
+    for (size_t p = 0; p < HashGroup::kPartitions; ++p)
+      *flushed += local->rows(p);
+  }
+  std::sort(got.begin(), got.end());
+  return got;
+}
+
+class HashGroupOverflowTest
+    : public ::testing::TestWithParam<OverflowConfig> {};
+
+TEST_P(HashGroupOverflowTest, MatchesReferenceWithBoundedDirectory) {
+  const auto [cardinality, clustered, threads, vecsize] = GetParam();
+  const Relation& rel = OverflowInput(cardinality, clustered);
+  static std::map<std::pair<size_t, bool>, GroupRows> refs;
+  GroupRows& ref = refs[{cardinality, clustered}];
+  if (ref.empty()) ref = OverflowReference(rel);
+
+  ExecContext ctx;
+  ctx.vector_size = vecsize;
+  size_t peak_live = 0;
+  size_t flushed = 0;
+  EXPECT_EQ(GroupOverflow(rel, threads, ctx, &peak_live, &flushed), ref);
+  // Flushes happen at batch boundaries: at most one batch of overshoot.
+  EXPECT_LE(peak_live, runtime::kLocalGroupCapacity + vecsize);
+  EXPECT_GE(flushed, cardinality);
+  if (!clustered && threads == 1) {
+    EXPECT_GT(flushed, cardinality);
+  }
+}
+
+std::vector<OverflowConfig> OverflowConfigs() {
+  std::vector<OverflowConfig> configs;
+  for (size_t cardinality : {size_t{100000}, size_t{1000000}})
+    for (bool clustered : {true, false})
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}})
+        for (size_t vecsize : {size_t{64}, size_t{1024}, size_t{65536}})
+          configs.push_back({cardinality, clustered, threads, vecsize});
+  return configs;
+}
+
+INSTANTIATE_TEST_SUITE_P(Overflow, HashGroupOverflowTest,
+                         ::testing::ValuesIn(OverflowConfigs()));
+
+TEST(HashGroupSpillTest, SpilledRunEqualsInMemoryAndRestoresBaselines) {
+  namespace fs = std::filesystem;
+  const Relation& rel = OverflowInput(100000, false);
+  size_t peak_live = 0;
+  size_t flushed = 0;
+  const GroupRows expected =
+      GroupOverflow(rel, 1, ExecContext{}, &peak_live, &flushed);
+  const fs::path base = fs::temp_directory_path() /
+                        ("vcq-hash-group-spill-" + std::to_string(::getpid()));
+  fs::create_directories(base);
+  ::setenv("VCQ_SPILL_DIR", base.c_str(), 1);
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const size_t live_before = runtime::MemPool::live_bytes();
+    const size_t gov_before = runtime::ResourceGovernor::Global().in_use();
+    std::string dir;
+    {
+      // The budget trips after several flushes: 200k rows of 32 bytes
+      // reach 2 MiB of blocks a few flushes into the scan.
+      runtime::CancelToken token;
+      runtime::QueryLedger ledger(2 << 20, &token);
+      ledger.EnableSpillMode();
+      runtime::SpillManager spill(0, nullptr, &token);
+      ExecContext ctx;
+      ctx.cancel = &token;
+      ctx.ledger = &ledger;
+      ctx.spill = &spill;
+      EXPECT_EQ(GroupOverflow(rel, threads, ctx, &peak_live, &flushed),
+                expected);
+      EXPECT_FALSE(token.Interrupted());
+      EXPECT_GT(spill.spilled_bytes(), 0u);
+      dir = spill.dir();
+      ASSERT_FALSE(dir.empty());
+    }
+    EXPECT_FALSE(fs::exists(dir)) << "spill files left in " << dir;
+    EXPECT_EQ(runtime::MemPool::live_bytes(), live_before);
+    EXPECT_EQ(runtime::ResourceGovernor::Global().in_use(), gov_before);
+  }
+  ::unsetenv("VCQ_SPILL_DIR");
+  fs::remove_all(base);
+}
 
 TEST(HashGroupCompositeTest, CompositeKeysWithChars) {
   constexpr size_t kRows = 10000;

@@ -181,6 +181,49 @@ TEST(TraceTest, ExplainAnalyzeRendersAllQueriesOnBothEngines) {
   }
 }
 
+TEST(TraceTest, GroupMergeIsItsOwnSpan) {
+  // Both engines record the group-by merge as "group.merge" spans whose
+  // tuples are the flushed rows it read, so a trace shows input rows ->
+  // flushed rows -> groups.
+  const auto merged_rows = [](const QueryTrace& trace, uint32_t site) {
+    uint64_t rows = 0;
+    for (const TraceSpan& s : trace.Spans()) {
+      if (s.name == "group.merge" && s.site == site) rows += s.tuples;
+    }
+    return rows;
+  };
+  const tectorwise::Prepared prepared =
+      tectorwise::Prepare(TpchDb(), "Q18", {});
+  QueryTrace trace;
+  QueryOptions opt;
+  opt.threads = 2;
+  opt.trace_sink = &trace;
+  ASSERT_TRUE(prepared.Run(opt, DefaultParams(Query::kQ18)).ok());
+  const auto nodes = prepared.plan().Describe();
+  size_t groups = 0;
+  for (uint32_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].kind != tectorwise::NodeKind::kHashGroup) continue;
+    ++groups;
+    const uint64_t flushed = merged_rows(trace, i);
+    EXPECT_GE(flushed, trace.OperatorAt(i).rows);
+    EXPECT_LE(flushed, trace.OperatorAt(nodes[i].children[0]).rows);
+    EXPECT_GT(trace.OperatorAt(i).rows, 0u);
+  }
+  EXPECT_EQ(groups, 1u);
+
+  Session session(TpchDb());
+  QueryOptions typer_opt;
+  typer_opt.trace = TraceLevel::kSpans;
+  const QueryResult typer =
+      session.Prepare(Engine::kTyper, Query::kQ18, typer_opt).Execute();
+  ASSERT_TRUE(typer.ok());
+  EXPECT_GT(merged_rows(*typer.trace, QueryTrace::kNoSite), 0u);
+  EXPECT_NE(session.Prepare(Engine::kTyper, Query::kQ18, typer_opt)
+                .ExplainAnalyze()
+                .find("group merge"),
+            std::string::npos);
+}
+
 TEST(TraceTest, SqlPrepareStagesLandInTheExecutionTrace) {
   // PrepareSql records parse/bind/optimize/lower spans into the handle's
   // prepare trace; every traced execution prepends them (Append), so the
