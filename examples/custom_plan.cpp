@@ -14,7 +14,8 @@
 // the per-worker operator trees, the shared state (morsel queues, hash
 // table, barriers) and the collector loop, and derives the batch-compaction
 // registrations from slot usage — note the absence of any CompactColumn
-// call even though adaptive compaction is enabled below.
+// call even though every Select merges sparse output batches into full
+// vectors (tectorwise/compaction.h).
 
 #include <algorithm>
 #include <cstdio>
@@ -93,10 +94,9 @@ int main() {
   Plan plan = pb.Build(group, {g_name, g_rev, g_cnt});
   std::printf("%s\n", plan.ToString().c_str());
 
-  // --- 3. Run it: 8 workers, adaptive batch compaction ---------------------
+  // --- 3. Run it: 8 workers ----------------------------------------------
   runtime::QueryOptions opt;
   opt.threads = 8;
-  opt.compaction = runtime::CompactionMode::kAdaptive;
 
   struct ResultRow {
     Char<16> name;

@@ -9,8 +9,6 @@
 
 #include "api/query_catalog.h"
 #include "common/env_util.h"
-#include "runtime/hashmap.h"
-#include "tectorwise/compaction.h"
 
 namespace vcq::benchutil {
 
@@ -50,21 +48,10 @@ Measurement MeasureTimes(const std::function<void()>& fn, int reps) {
 
 Measurement Measure(const std::function<void()>& fn, int reps) {
   Measurement m = MeasureTimes(fn, reps);
-  auto& telemetry = tectorwise::CompactionTelemetry::Global();
-  telemetry.Reset();
-  auto& build_telemetry = runtime::JoinBuildTelemetry::Global();
-  build_telemetry.Reset();
   runtime::PerfCounters counters;
   counters.Start();
-  const double instr_start = Now();
   fn();
-  const double instr_ms = Now() - instr_start;
   m.counters = counters.Stop();
-  const auto density = telemetry.Take();
-  m.avg_density = density.AvgDensity();
-  m.compactions = static_cast<double>(density.compactions);
-  m.build_ms = static_cast<double>(build_telemetry.total_ns()) / 1e6;
-  m.probe_ms = std::max(0.0, instr_ms - m.build_ms);
   return m;
 }
 
@@ -87,8 +74,7 @@ Measurement MeasureTraced(
   }
   // Build span: the per-site join-build wall spans the build protocol
   // recorded into the trace's NodeTelemetry — per-run state, so two
-  // benches (or a concurrent server) can no longer cross-contaminate the
-  // global counters the legacy path drains.
+  // benches (or a concurrent server) cannot cross-contaminate each other.
   uint64_t build_ns = 0;
   for (uint32_t site = 0; site < runtime::NodeTelemetry::kMaxSites; ++site)
     build_ns += trace->node_telemetry().SpanNs(site);
@@ -104,7 +90,7 @@ Measurement MeasureTraced(
     rows += stats.rows;
     batches += stats.batches;
   }
-  m.compactions = static_cast<double>(batches);
+  m.batches = static_cast<double>(batches);
   m.avg_density =
       batches != 0 && vector_size != 0
           ? static_cast<double>(rows) /

@@ -17,7 +17,9 @@
 //   VCQ_REPS     repetitions per cell    (median reported)
 //   VCQ_THREADS  max worker threads
 //   VCQ_QUICK=1  CI-sized run
-// Counter columns print "n/a" when the kernel denies perf events.
+// Counter columns print "n/a" when the kernel denies perf events. Batch
+// and build telemetry come only from a traced run's QueryTrace
+// (MeasureTraced/MeasureQuery); no process-global counter is read.
 
 namespace vcq::benchutil {
 
@@ -26,16 +28,14 @@ struct Measurement {
   runtime::PerfCounters::Values counters;  // from the median-adjacent run
   size_t tuples = 0;                    // normalization base (paper §3.4)
 
-  // Batch-density telemetry from the instrumented run. On the unified
-  // trace path (MeasureTraced/MeasureQuery) avg_density is output rows per
-  // batch slot across every traced Tectorwise operator — the same
-  // per-site aggregates EXPLAIN ANALYZE prints — and compactions counts
-  // the non-empty batches those operators emitted; NaN/0 when the run
-  // recorded no operator spans (Typer's fused pipelines). The legacy
-  // Measure(fn) path still reads the global CompactionTelemetry
-  // (compaction points only; see tectorwise/compaction.h).
+  // Batch-density telemetry from the instrumented run of MeasureTraced/
+  // MeasureQuery: avg_density is output rows per batch slot across every
+  // traced Tectorwise operator — the same per-site aggregates EXPLAIN
+  // ANALYZE prints — and batches counts the non-empty batches those
+  // operators emitted; NaN/0 when the run recorded no operator spans
+  // (Typer's fused pipelines).
   double avg_density = 0;
-  double compactions = 0;
+  double batches = 0;
 
   // Build/probe phase split from the instrumented run: build_ms sums the
   // per-site join-build insert-protocol wall spans (one span per hash
@@ -43,9 +43,8 @@ struct Measurement {
   // never overlap, so nested build-side joins are not double-counted, and
   // materialize-phase skew is excluded); probe_ms is the rest of that run
   // — for queries without hash joins build_ms is 0 and probe_ms is simply
-  // the whole run. On the unified path these come from the instrumented
-  // run's QueryTrace NodeTelemetry (the same recording ExplainAnalyze
-  // reads); the legacy path drains the process-global JoinBuildTelemetry.
+  // the whole run. Both come from the instrumented run's QueryTrace
+  // NodeTelemetry (the same recording ExplainAnalyze reads).
   double build_ms = 0;
   double probe_ms = 0;
 
@@ -53,9 +52,9 @@ struct Measurement {
   double InstructionsPerTuple() const;
 };
 
-/// Runs `fn` reps times, returns the median time plus counters captured on
-/// one additional instrumented run (legacy global-counter telemetry — for
-/// closures that cannot thread a trace sink through).
+/// Runs `fn` reps times, returns the median time plus the hardware
+/// counters of one additional run. Records no batch or build telemetry:
+/// use MeasureTraced for that.
 Measurement Measure(const std::function<void()>& fn, int reps);
 
 /// The unified observability path (runtime/trace.h): timing reps run `fn`

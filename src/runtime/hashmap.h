@@ -2,7 +2,6 @@
 #define VCQ_RUNTIME_HASHMAP_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -162,38 +161,6 @@ struct EntryChunkList {
   }
 };
 
-/// Process-wide accumulator of join-build wall time, drained by
-/// benchutil::Measure for the build/probe timing split: each JoinBuild adds
-/// one span, from the sizing barrier (the last worker has finished
-/// materializing) to the final barrier — the insert protocol itself,
-/// deliberately excluding the engine-specific materialize phase (whose
-/// drain may execute whole nested subplans, which would double-count
-/// builds stacked on a join's build side, and whose per-worker skew would
-/// otherwise be booked as build time).
-class JoinBuildTelemetry {
- public:
-  static JoinBuildTelemetry& Global() {
-    static JoinBuildTelemetry t;
-    return t;
-  }
-
-  static uint64_t NowNs() {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-
-  void Reset() { build_ns_.store(0, std::memory_order_relaxed); }
-  void Add(uint64_t ns) { build_ns_.fetch_add(ns, std::memory_order_relaxed); }
-  uint64_t total_ns() const {
-    return build_ns_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> build_ns_{0};
-};
-
 /// Failure-containment context of one JoinBuild (all optional): the run's
 /// CancelToken (barrier aborts, failure propagation), FaultInjector (the
 /// build's named fault points), QueryLedger (directory + arena bytes are
@@ -278,7 +245,7 @@ class JoinBuild {
           // fill, and re-raise only on unmanaged builds.
           try {
             FaultHit(env_.fault, "join_build.size", env_.cancel);
-            start_ns_ = JoinBuildTelemetry::NowNs();
+            if (env_.trace != nullptr) start_ns_ = QueryTrace::NowNs();
             stride_ = stride;
             seg_offsets_[0] = 0;
             for (size_t w = 0; w < threads_; ++w) {
@@ -325,10 +292,9 @@ class JoinBuild {
 
     barrier_.WaitOrAbort(
         [&] {
-          const uint64_t span = JoinBuildTelemetry::NowNs() - start_ns_;
-          JoinBuildTelemetry::Global().Add(span);
           if (env_.trace != nullptr && total_ > 0) {
-            env_.trace->node_telemetry().RecordSpan(env_.site, span, total_);
+            env_.trace->node_telemetry().RecordSpan(
+                env_.site, QueryTrace::NowNs() - start_ns_, total_);
           }
           // Every entry now lives in the arena: drop the chunk lists that
           // point into the engines' materialize pools.

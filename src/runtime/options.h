@@ -21,10 +21,6 @@ class WorkerPool;
 ///           Chrome-tracing JSON and EXPLAIN ANALYZE.
 enum class TraceLevel : uint8_t { kOff, kSpans };
 
-/// Engine-independent spelling of the Tectorwise batch-compaction policy
-/// (mapped onto tectorwise::CompactionPolicy by the plan builders).
-enum class CompactionMode { kNever, kAlways, kAdaptive };
-
 /// Per-run execution settings, honored by all engines where meaningful.
 struct QueryOptions {
   /// Worker threads (morsel-driven parallelism, paper §6).
@@ -103,13 +99,6 @@ struct QueryOptions {
   /// (JoinCandidatesStaged), which plays the same trick inside each
   /// vector, at every hash-join node of the plan.
   bool rof = false;
-  /// Batch compaction at the sparse points of the vectorized pipeline
-  /// (Select output, hash-join probe output, group-by input); Tectorwise
-  /// only, applied at every such point of the plan. See
-  /// tectorwise::CompactionPolicy.
-  CompactionMode compaction = CompactionMode::kNever;
-  /// Density below which kAdaptive compacts (count / vector_size).
-  double compaction_threshold = 1.0 / 64;
   /// Requested trace level. vcq::Session honors it by allocating a
   /// QueryTrace per execution (stamped into QueryResult::trace on
   /// success and failure); standalone engine calls must also set

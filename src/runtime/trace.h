@@ -33,8 +33,8 @@
 //   * SITE aggregates (RecordOperator): fixed-size atomic {ns, rows,
 //     batches} per plan-node index, powering ExplainAnalyze without a
 //     post-run span scan.
-// All spans use one monotonic clock (NowNs — steady_clock, the same
-// epoch JoinBuildTelemetry uses), so Chrome's timeline nests correctly.
+// All spans, the join-build spans included, use one monotonic clock
+// (NowNs — steady_clock), so Chrome's timeline nests correctly.
 //
 // Per-site build telemetry: the trace owns the NodeTelemetry the
 // join-build protocol (runtime/hashmap.h) records into. Whenever a run

@@ -1,52 +1,8 @@
 #include "tectorwise/compaction.h"
 
-#include <cmath>
-#include <limits>
-
 namespace vcq::tectorwise {
 
-double CompactionTelemetry::Snapshot::AvgDensity() const {
-  if (capacity == 0) return std::numeric_limits<double>::quiet_NaN();
-  return static_cast<double>(tuples) / static_cast<double>(capacity);
-}
-
-CompactionTelemetry& CompactionTelemetry::Global() {
-  static CompactionTelemetry telemetry;
-  return telemetry;
-}
-
-void CompactionTelemetry::Reset() {
-  batches_.store(0, std::memory_order_relaxed);
-  tuples_.store(0, std::memory_order_relaxed);
-  capacity_.store(0, std::memory_order_relaxed);
-  compactions_.store(0, std::memory_order_relaxed);
-  compacted_tuples_.store(0, std::memory_order_relaxed);
-}
-
-CompactionTelemetry::Snapshot CompactionTelemetry::Take() const {
-  Snapshot s;
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.tuples = tuples_.load(std::memory_order_relaxed);
-  s.capacity = capacity_.load(std::memory_order_relaxed);
-  s.compactions = compactions_.load(std::memory_order_relaxed);
-  s.compacted_tuples = compacted_tuples_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void LocalBatchStats::FlushToGlobal() {
-  if (batches == 0) return;
-  CompactionTelemetry::Global().RecordBatches(batches, tuples, capacity);
-  batches = tuples = capacity = 0;
-}
-
-void Compactor::Configure(const ExecContext& ctx) {
-  policy_ = ctx.compaction;
-  threshold_ = ctx.compaction_threshold;
-  vector_size_ = ctx.vector_size;
-}
-
 void Compactor::AddColumn(Slot* slot, size_t elem_size, CompactStep step) {
-  if (policy_ == CompactionPolicy::kNever) return;
   for (const Column& c : columns_) {
     if (c.slot == slot) return;  // already registered
   }
@@ -87,7 +43,6 @@ size_t Compactor::Flush() {
     c.slot->ptr = c.buffer.data();
   }
   emitted_ = m;
-  CompactionTelemetry::Global().RecordCompaction(m);
   return m;
 }
 

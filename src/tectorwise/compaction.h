@@ -1,45 +1,51 @@
 #ifndef VCQ_TECTORWISE_COMPACTION_H_
 #define VCQ_TECTORWISE_COMPACTION_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <vector>
 
-#include "runtime/options.h"
 #include "tectorwise/core.h"
 
 // Adaptive batch compaction (cf. "Data Chunk Compaction in Vectorized
 // Execution", SIGMOD'25, and paper §5.1 on sparse selection vectors).
 //
-// A Compactor sits at a compaction point of the vectorized pipeline (Select
-// output, group-by input). When the point produces sparse batches — a few
-// live positions scattered over a full vector — the Compactor copies the
-// live values of every registered column into its own dense buffers,
-// merging consecutive sparse batches until a full vector_size batch is
-// accumulated, then republishes the column Slots to point at the dense
-// buffers and emits the batch without a selection vector. Every downstream
-// primitive then runs its dense path (contiguous loads, full SIMD lanes)
-// and per-vector interpretation overhead amortizes over full vectors again.
+// Sparse selection vectors make every downstream primitive pay full
+// per-vector overhead for a trickle of tuples and degrade SIMD variants to
+// gather speed (paper §5.1, Fig. 7). Every Tectorwise compaction point
+// therefore densifies such batches: Select output and group-by input run
+// through a Compactor, and the hash-join probe accumulates its hits in its
+// own output buffers (hash_join.h) by the same density test.
 //
-// Under CompactionPolicy::kAdaptive a batch is only absorbed when its
-// density (count / vector_size) falls below ExecContext's threshold; dense
-// batches pass through untouched, so the fast path stays zero-copy.
+// A Compactor copies the live values of every registered column of a
+// sparse batch — a few live positions scattered over a full vector — into
+// its own dense buffers, merging consecutive sparse batches until a full
+// vector_size batch is accumulated, then republishes the column Slots to
+// point at the dense buffers and emits the batch without a selection
+// vector. Every downstream primitive then runs its dense path (contiguous
+// loads, full SIMD lanes) and per-vector interpretation overhead amortizes
+// over full vectors again.
+//
+// A batch is only absorbed when its density (count / vector_size) falls
+// below kCompactionThreshold; dense batches pass through untouched, so the
+// common path stays zero-copy. A non-empty batch is never below the
+// threshold at vector_size <= 64, so compaction never fires there.
 
 namespace vcq::tectorwise {
 
-/// Maps the engine-agnostic QueryOptions spelling onto the engine policy
-/// (shared by every plan builder's MakeContext).
-inline CompactionPolicy ToPolicy(runtime::CompactionMode mode) {
-  switch (mode) {
-    case runtime::CompactionMode::kNever: return CompactionPolicy::kNever;
-    case runtime::CompactionMode::kAlways: return CompactionPolicy::kAlways;
-    case runtime::CompactionMode::kAdaptive:
-      return CompactionPolicy::kAdaptive;
-  }
-  return CompactionPolicy::kNever;
+/// Density below which a batch is compacted: batches less than ~1.6% full.
+/// This is where merged-batch savings clearly exceed the copy tax — this
+/// engine's per-vector overhead is lean and the tax grows with every
+/// registered column, so only truly sparse batches are worth copying.
+inline constexpr double kCompactionThreshold = 1.0 / 64;
+
+/// True when a batch of `count` live tuples is sparse enough to compact
+/// (strict: a batch exactly at the threshold passes through).
+inline bool IsSparse(size_t count, size_t vector_size) {
+  return static_cast<double>(count) <
+         kCompactionThreshold * static_cast<double>(vector_size);
 }
 
 /// Per-column append kernel bound to a column Slot by the steps.h factory
@@ -47,68 +53,6 @@ inline CompactionPolicy ToPolicy(runtime::CompactionMode mode) {
 /// the bound column to `dst`.
 using CompactStep =
     std::function<void(size_t n, const pos_t* sel, void* dst)>;
-
-/// Process-wide compaction/density counters (relaxed; one update per batch,
-/// negligible next to per-tuple work). benchutil snapshots these around the
-/// instrumented run so benches can report average batch density and
-/// compaction counts alongside runtime.
-class CompactionTelemetry {
- public:
-  struct Snapshot {
-    uint64_t batches = 0;     ///< batches observed at compaction points
-    uint64_t tuples = 0;      ///< live tuples in those batches
-    uint64_t capacity = 0;    ///< sum of vector_size over those batches
-    uint64_t compactions = 0;       ///< dense batches emitted by compactors
-    uint64_t compacted_tuples = 0;  ///< tuples in those dense batches
-
-    /// Average batch density across all compaction points (NaN when no
-    /// batches were observed).
-    double AvgDensity() const;
-  };
-
-  static CompactionTelemetry& Global();
-
-  /// Bulk fold-in of operator-local counters (see LocalBatchStats).
-  void RecordBatches(uint64_t batches, uint64_t tuples, uint64_t capacity) {
-    batches_.fetch_add(batches, std::memory_order_relaxed);
-    tuples_.fetch_add(tuples, std::memory_order_relaxed);
-    capacity_.fetch_add(capacity, std::memory_order_relaxed);
-  }
-  void RecordCompaction(size_t emitted) {
-    compactions_.fetch_add(1, std::memory_order_relaxed);
-    compacted_tuples_.fetch_add(emitted, std::memory_order_relaxed);
-  }
-
-  void Reset();
-  Snapshot Take() const;
-
- private:
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> tuples_{0};
-  std::atomic<uint64_t> capacity_{0};
-  std::atomic<uint64_t> compactions_{0};
-  std::atomic<uint64_t> compacted_tuples_{0};
-};
-
-/// Operator-local batch statistics: plain counters bumped in the hot loop,
-/// folded into the global telemetry once at end-of-stream so the per-batch
-/// path costs two additions instead of three shared atomic RMWs (which
-/// would ping-pong a cache line between workers in exactly the
-/// small-vector regimes the benches study).
-struct LocalBatchStats {
-  uint64_t batches = 0;
-  uint64_t tuples = 0;
-  uint64_t capacity = 0;
-
-  void Record(size_t live, size_t vector_size) {
-    ++batches;
-    tuples += live;
-    capacity += vector_size;
-  }
-  /// Adds the counters to the global telemetry and zeroes them (safe to
-  /// call repeatedly — operators may see end-of-stream more than once).
-  void FlushToGlobal();
-};
 
 /// Accumulates the live rows of sparse batches into dense, operator-owned
 /// column buffers and republishes the column Slots when a dense batch is
@@ -123,33 +67,26 @@ struct LocalBatchStats {
 ///   else { Append(count, sel); if (Full()) emit Flush() rows dense; }
 ///   ...at child EOS: emit Flush() until pending() is 0...
 ///
+/// With no registered column the Compactor only merges counts: nothing
+/// above the compaction point reads a column (e.g. count(*)).
+///
 /// Buffers hold 2 * vector_size rows: Append() is only called while fewer
 /// than vector_size rows are pending and a batch holds at most vector_size
 /// rows, so capacity is never exceeded; Flush() publishes at most
 /// vector_size rows and BeginBatch() moves the remainder to the front.
 class Compactor {
  public:
-  Compactor() = default;
-  explicit Compactor(const ExecContext& ctx) { Configure(ctx); }
-
-  void Configure(const ExecContext& ctx);
+  explicit Compactor(size_t vector_size) : vector_size_(vector_size) {}
 
   /// Registers a column for densification. `slot` must be republishable:
   /// its producer either resets `ptr` every batch (Scan) or writes into a
   /// fixed buffer the saved `ptr` keeps addressing (Map/join/group
-  /// outputs). No-op under kNever so the seed path stays allocation-free.
+  /// outputs).
   void AddColumn(Slot* slot, size_t elem_size, CompactStep step);
-
-  bool enabled() const {
-    return policy_ != CompactionPolicy::kNever && !columns_.empty();
-  }
 
   /// Density test for a fresh batch with `count` live tuples.
   bool ShouldCompact(size_t count) const {
-    if (policy_ == CompactionPolicy::kAlways) return true;
-    if (policy_ != CompactionPolicy::kAdaptive) return false;
-    return static_cast<double>(count) <
-           threshold_ * static_cast<double>(vector_size_);
+    return IsSparse(count, vector_size_);
   }
 
   size_t pending() const { return pending_; }
@@ -176,9 +113,7 @@ class Compactor {
     const void* saved = nullptr;  // producer ptr to restore after a Flush
   };
 
-  CompactionPolicy policy_ = CompactionPolicy::kNever;
-  double threshold_ = 1.0 / 64;
-  size_t vector_size_ = kDefaultVectorSize;
+  size_t vector_size_;
   std::vector<Column> columns_;
   size_t pending_ = 0;   // accumulated, not yet emitted rows
   size_t emitted_ = 0;   // rows published by the last Flush

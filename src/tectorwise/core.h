@@ -14,7 +14,9 @@
 // vectors of a configurable size, with selection vectors marking the active
 // subset of the current batch. Work happens in type-specialized primitives;
 // the operators only orchestrate ("interpretation" that amortizes over the
-// whole vector, §4.2).
+// whole vector, §4.2). Sparse batches are merged into full ones at the
+// three compaction points — Select output, hash-join probe output and
+// group-by input — so that overhead keeps amortizing (see compaction.h).
 
 namespace vcq::tectorwise {
 
@@ -40,38 +42,11 @@ inline const T* Get(const Slot* slot) {
   return static_cast<const T*>(slot->ptr);
 }
 
-/// Batch-compaction policy (cf. "Data Chunk Compaction in Vectorized
-/// Execution", SIGMOD'25). Sparse selection vectors make every downstream
-/// primitive pay full per-vector overhead for a trickle of tuples and
-/// degrade SIMD variants to gather speed (paper §5.1, Fig. 7). The
-/// compaction points (Select output, hash-join probe output, group-by
-/// input) can densify such batches: live values are copied into
-/// operator-owned buffers, several sparse batches are merged into one
-/// full batch, and the selection vector is dropped so downstream
-/// primitives run their dense paths.
-enum class CompactionPolicy {
-  kNever,   ///< Emit batches as produced (seed behavior; zero copies).
-  kAlways,  ///< Densify every sel-carrying batch regardless of density.
-  kAdaptive,  ///< Densify only when batch density falls below the
-              ///< ExecContext threshold; dense batches pass through
-              ///< untouched (zero copies on the common path).
-};
-
 /// Per-plan execution settings (threads come from the runner; SIMD toggles
 /// the AVX-512 primitive variants for the §5 experiments).
 struct ExecContext {
   size_t vector_size = kDefaultVectorSize;
   bool use_simd = false;
-  /// Batch-compaction policy applied at the compaction points.
-  CompactionPolicy compaction = CompactionPolicy::kNever;
-  /// kAdaptive densifies a batch only when `count / vector_size` falls
-  /// below this density. The default (1/64, i.e. batches less than ~1.6%
-  /// full) is where merged-batch savings clearly exceed the copy tax in
-  /// the ablation sweep (bench/ablation_compaction) — this engine's
-  /// per-vector overhead is lean and the tax grows with every registered
-  /// column, so only truly sparse batches are worth copying. Values >= 1.0
-  /// make kAdaptive behave like kAlways, <= 0.0 like kNever.
-  double compaction_threshold = 1.0 / 64;
   /// Relaxed operator fusion (paper §9.1): HashJoin probes use the
   /// prefetch-staged findCandidates variant (JoinCandidatesStaged).
   bool rof = false;

@@ -13,7 +13,8 @@ HashGroup::HashGroup(Shared* shared, size_t worker_id, size_t worker_count,
       worker_id_(worker_id),
       worker_count_(worker_count),
       child_(std::move(child)),
-      ctx_(ctx) {
+      ctx_(ctx),
+      compactor_(ctx.vector_size) {
   merge_pool_.Bind(ctx_.ledger, ctx_.fault, "tw.group.merge");
   const size_t v = ctx_.vector_size;
   hashes_.Reset(v * sizeof(uint64_t));
@@ -24,7 +25,6 @@ HashGroup::HashGroup(Shared* shared, size_t worker_id, size_t worker_count,
   cand_pos_.Reset(v * sizeof(pos_t));
   match_.Reset(v * sizeof(uint8_t));
   emit_entries_.Reset(v * sizeof(std::byte*));
-  compactor_.Configure(ctx_);
 }
 
 size_t HashGroup::AddAgg(Slot* col, AggKind kind) {
@@ -176,17 +176,15 @@ void HashGroup::ProcessBatch(size_t n, const pos_t* sel) {
 
 void HashGroup::ConsumeChild() {
   VCQ_CHECK_MSG(!key_steps_.empty(), "group keys not configured");
-  const bool compacting = compactor_.enabled();
 
   size_t n;
   while ((n = child_->Next()) != kEndOfStream) {
     if (n == 0) continue;
     const pos_t* sel = child_->sel();
-    stats_.Record(n, ctx_.vector_size);
     // Dense batches are processed in place even while sparse rows are
     // pending — aggregation is order-insensitive, so the backlog can keep
     // accumulating.
-    if (!compacting || !compactor_.ShouldCompact(n)) {
+    if (!compactor_.ShouldCompact(n)) {
       ProcessBatch(n, sel);
       continue;
     }
@@ -196,11 +194,10 @@ void HashGroup::ConsumeChild() {
       compactor_.BeginBatch();  // restore slots before the next child batch
     }
   }
-  while (compacting && compactor_.pending() > 0) {
+  while (compactor_.pending() > 0) {
     ProcessBatch(compactor_.Flush(), nullptr);
     compactor_.BeginBatch();
   }
-  stats_.FlushToGlobal();
   shared_->locals[worker_id_] = local_.get();
 
   // Token-aware phase barriers: a worker that died mid-scan (exception
@@ -241,13 +238,11 @@ void HashGroup::MergePartitions() {
 
 size_t HashGroup::Next() {
   if (!consumed_) ConsumeChild();
-  // Emit merged groups from owned partitions, one vector at a time. Batches
-  // end at partition boundaries unless partition-emission compaction packs
-  // consecutive owned partitions into full vectors (group order is the
-  // same, only the batch boundaries move).
+  // Emit merged groups from owned partitions, one vector at a time, packing
+  // groups from consecutive owned partitions into full vectors (group order
+  // is the partition order; a batch may span partitions).
   std::byte** entries = emit_entries_.As<std::byte*>();
   size_t n = 0;
-  size_t chunks = 0;
   while (n < ctx_.vector_size && emit_partition_ < kPartitions) {
     const std::vector<std::byte*>& part = shared_->merged[emit_partition_];
     if (emit_index_ >= part.size()) {
@@ -261,12 +256,9 @@ size_t HashGroup::Next() {
                 take * sizeof(std::byte*));
     n += take;
     emit_index_ += take;
-    ++chunks;
-    if (!dense_output_) break;
   }
   if (n == 0) return kEndOfStream;
   for (const Output& o : outputs_) o.gather(n, entries);
-  if (chunks > 1) CompactionTelemetry::Global().RecordCompaction(n);
   sel_ = nullptr;
   return n;
 }

@@ -32,6 +32,11 @@ namespace vcq::tectorwise {
 /// without duplicate groups). Aggregates are int64-valued (sum, count,
 /// min, max) so the merge combine is a per-aggregate elementwise fold and
 /// key equality is a memcmp over the zero-padded key region.
+///
+/// Both ends of the operator keep batches dense: sparse input batches are
+/// merged by the input Compactor before the group lookup (compaction.h),
+/// and Next() packs groups from consecutive owned partitions into full
+/// output vectors.
 class HashGroup : public Operator {
  public:
   static constexpr size_t kPartitions = runtime::kGroupPartitions;
@@ -55,8 +60,7 @@ class HashGroup : public Operator {
   /// Adds a grouping key column; returns its entry byte offset. Key and
   /// aggregate columns are auto-registered with the input Compactor, so
   /// the group-by compaction point needs no extra plan wiring: sparse
-  /// input batches are densified before the group lookup when the policy
-  /// asks for it.
+  /// input batches are densified before the group lookup.
   template <typename T>
   size_t AddKey(Slot* col) {
     VCQ_CHECK_MSG(agg_begin_ == 0, "keys must be added before aggregates");
@@ -112,15 +116,6 @@ class HashGroup : public Operator {
     };
     return o.slot.get();
   }
-
-  /// Partition-emission compaction (ROADMAP follow-on to PR 1): when
-  /// enabled, Next() packs groups from consecutive owned partitions into
-  /// full dense output vectors instead of emitting whatever sub-vector
-  /// remnants the merge produced, so downstream operators (e.g. Q18's
-  /// having-Select) see dense input. Off by default to keep hand-wired
-  /// pipelines byte-for-byte identical; the plan builder enables it
-  /// whenever the compaction policy is not kNever.
-  void SetDenseOutput(bool on) { dense_output_ = on; }
 
   size_t Next() override;
 
@@ -180,10 +175,8 @@ class HashGroup : public Operator {
   std::unique_ptr<runtime::LocalGroups> local_;
   runtime::MemPool merge_pool_;  // owns entries rehydrated from spill files
   Compactor compactor_;  // input densification (batch compaction point)
-  LocalBatchStats stats_;
 
   bool consumed_ = false;
-  bool dense_output_ = false;  // partition-emission compaction
   size_t emit_partition_ = 0;  // owned-partition cursor (worker-strided)
   size_t emit_index_ = 0;
 

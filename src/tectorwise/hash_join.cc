@@ -78,7 +78,6 @@ size_t HashJoin::Next() {
   pos_t* hit_pos = hit_pos_.As<pos_t>();
   const bool use_simd = ctx_.use_simd && simd::Available();
   const size_t vsize = ctx_.vector_size;
-  const bool accumulate = ctx_.compaction != CompactionPolicy::kNever;
 
   // Shift the carry-over from the last emission to the buffer front.
   if (out_emitted_ > 0) {
@@ -115,32 +114,20 @@ size_t HashJoin::Next() {
       size_t hit_count = 0;
       cand_rem_ = ExtractHitsAdvance(cand_rem_, cand, cand_pos, match, hits,
                                      hit_pos, hit_count);
-      stats_.Record(hit_count, vsize);
       if (hit_count == 0) continue;
 
       // Gather this round's hits behind whatever is already pending (hit
       // positions only stay valid while the probe batch is current).
       for (const Output& o : outputs_) o.gather(hit_count, out_pending_);
       out_pending_ += hit_count;
-      if (!accumulate) return emit(out_pending_);
-      if (ctx_.compaction == CompactionPolicy::kAdaptive &&
-          out_pending_ == hit_count &&
-          static_cast<double>(hit_count) >=
-              ctx_.compaction_threshold * static_cast<double>(vsize)) {
+      if (out_pending_ == hit_count && !IsSparse(hit_count, vsize)) {
         // Dense enough and nothing buffered: emit with no extra latency.
         return emit(out_pending_);
       }
-      if (out_pending_ >= vsize) {
-        CompactionTelemetry::Global().RecordCompaction(vsize);
-        return emit(vsize);
-      }
+      if (out_pending_ >= vsize) return emit(vsize);
     }
     if (probe_eos_) {
-      if (out_pending_ > 0) {
-        CompactionTelemetry::Global().RecordCompaction(out_pending_);
-        return emit(out_pending_);
-      }
-      stats_.FlushToGlobal();
+      if (out_pending_ > 0) return emit(out_pending_);
       return kEndOfStream;
     }
     const size_t n = probe_->Next();

@@ -33,6 +33,11 @@ namespace vcq::tectorwise {
 /// prefetch-staged variant under ctx.rof, paper §9.1) -> compareKeys
 /// primitives (one per key column) -> extractHits/advance loop ->
 /// buildGather + probe-side gathers into dense output vectors.
+///
+/// The probe output is a compaction point (compaction.h): a round whose
+/// hits are sparse (below kCompactionThreshold of vector_size) is not
+/// emitted on its own — the join keeps probing and gathers later rounds
+/// behind it until a full vector has accumulated.
 class HashJoin : public Operator {
  public:
   struct Shared {
@@ -96,13 +101,12 @@ class HashJoin : public Operator {
   }
 
   // --- outputs ------------------------------------------------------------
-  // Output buffers hold 2 * vector_size rows: under batch compaction
-  // (ctx.compaction != kNever) the join keeps probing until a full vector
-  // of hits has accumulated, so a batch's hits can straddle the
-  // vector_size emission boundary; the overhang is carried to the front on
-  // the next Next() call. Gathers happen per probe batch either way (hit
-  // positions refer to the current batch), so accumulation only changes
-  // the emission cadence, not the gather work.
+  // Output buffers hold 2 * vector_size rows: a sparse round's hits wait
+  // in them until a full vector of hits has accumulated, so a batch's hits
+  // can straddle the vector_size emission boundary; the overhang is
+  // carried to the front on the next Next() call. Gathers happen per
+  // probe round (hit positions refer to the current batch), so
+  // accumulation only changes the emission cadence, not the gather work.
 
   /// Build-side column (entry field) gathered into a dense output vector.
   template <typename T>
@@ -176,7 +180,6 @@ class HashJoin : public Operator {
   // Probe-output accumulation state (batch compaction of the join result).
   size_t out_pending_ = 0;  // gathered rows not yet emitted
   size_t out_emitted_ = 0;  // rows published by the last emission
-  LocalBatchStats stats_;
 
   // Probe scratch vectors.
   VecBuffer hashes_;

@@ -28,43 +28,11 @@ size_t Scan::Next() {
 
 Select::Select(std::unique_ptr<Operator> child, size_t vector_size)
     : child_(std::move(child)),
-      vector_size_(vector_size),
       buf_a_(vector_size * sizeof(pos_t)),
-      buf_b_(vector_size * sizeof(pos_t)) {}
-
-Select::Select(std::unique_ptr<Operator> child, const ExecContext& ctx)
-    : Select(std::move(child), ctx.vector_size) {
-  compactor_.Configure(ctx);
-}
+      buf_b_(vector_size * sizeof(pos_t)),
+      compactor_(vector_size) {}
 
 size_t Select::Next() {
-  if (compactor_.enabled()) return NextCompacting();
-  while (true) {
-    const size_t n = child_->Next();
-    if (n == kEndOfStream) {
-      stats_.FlushToGlobal();
-      return kEndOfStream;
-    }
-    const pos_t* sel = child_->sel();
-    size_t count = n;
-    pos_t* out = buf_a_.As<pos_t>();
-    pos_t* spare = buf_b_.As<pos_t>();
-    for (const SelStep& step : steps_) {
-      count = step(count, sel, out);
-      sel = out;
-      std::swap(out, spare);
-      if (count == 0) break;
-    }
-    stats_.Record(count, vector_size_);
-    if (count > 0) {
-      sel_ = sel;
-      return count;
-    }
-    // All tuples filtered: pull the next batch instead of emitting empties.
-  }
-}
-
-size_t Select::NextCompacting() {
   compactor_.BeginBatch();
   while (true) {
     if (child_eos_) {
@@ -72,7 +40,6 @@ size_t Select::NextCompacting() {
         sel_ = nullptr;
         return compactor_.Flush();
       }
-      stats_.FlushToGlobal();
       return kEndOfStream;
     }
     const size_t n = child_->Next();
@@ -90,7 +57,7 @@ size_t Select::NextCompacting() {
       std::swap(out, spare);
       if (count == 0) break;
     }
-    stats_.Record(count, vector_size_);
+    // All tuples filtered: pull the next batch instead of emitting empties.
     if (count == 0) continue;
     // Dense batches pass through untouched, even while sparse rows are
     // pending — those already live in the compactor's own buffers and can

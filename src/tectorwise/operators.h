@@ -87,16 +87,15 @@ class Scan : public Operator {
 /// Conjunctive filter: a cascade of selection primitives, each narrowing the
 /// selection vector (Fig. 1b). Skips empty batches internally.
 ///
-/// A Select is the pipeline's primary compaction point: when constructed
-/// with an ExecContext whose policy is not kNever, sparse result batches
-/// are merged into dense ones through the Compactor. Plans must register
-/// every column consumed above the Select via CompactColumn<T>(ctx,
+/// A Select is the pipeline's primary compaction point: sparse result
+/// batches are merged into dense ones through the Compactor. Plans must
+/// register every column consumed above the Select via CompactColumn<T>(ctx,
 /// select->compactor(), slot) — unregistered columns keep their original
-/// batch layout and would be misread through compacted positions.
+/// batch layout and would be misread through compacted positions. The plan
+/// builder derives these registrations from slot usage (plan.h).
 class Select : public Operator {
  public:
   Select(std::unique_ptr<Operator> child, size_t vector_size);
-  Select(std::unique_ptr<Operator> child, const ExecContext& ctx);
 
   void AddStep(SelStep step) { steps_.push_back(std::move(step)); }
 
@@ -106,15 +105,11 @@ class Select : public Operator {
   Compactor& compactor() { return compactor_; }
 
  private:
-  size_t NextCompacting();
-
   std::unique_ptr<Operator> child_;
-  size_t vector_size_;
   std::vector<SelStep> steps_;
   VecBuffer buf_a_;
   VecBuffer buf_b_;
   Compactor compactor_;
-  LocalBatchStats stats_;
   bool child_eos_ = false;
 };
 

@@ -14,8 +14,6 @@ ExecContext MakeContext(const runtime::QueryOptions& opt) {
   ExecContext ctx;
   ctx.vector_size = opt.vector_size;
   ctx.use_simd = opt.simd;
-  ctx.compaction = ToPolicy(opt.compaction);
-  ctx.compaction_threshold = opt.compaction_threshold;
   ctx.rof = opt.rof;
   ctx.cancel = opt.cancel;
   ctx.ledger = opt.ledger;
@@ -165,8 +163,8 @@ std::unique_ptr<Operator> ScanNode::Instantiate(
 std::unique_ptr<Operator> SelectNode::Instantiate(
     plan_internal::Workspace& ws) const {
   const ExecContext ctx = NodeContext(ws.ctx, index_);
-  auto select =
-      std::make_unique<Select>(InstantiateNode(*children_[0], ws), ctx);
+  auto select = std::make_unique<Select>(InstantiateNode(*children_[0], ws),
+                                         ctx.vector_size);
   for (const auto& make : steps_) select->AddStep(make(ctx, ws));
   // The derived compaction registrations: every column produced at or
   // below this Select and consumed above it.
@@ -221,8 +219,6 @@ std::unique_ptr<Operator> GroupNode::Instantiate(
                                            InstantiateNode(*children_[0], ws),
                                            ctx);
   for (const auto& configure : config_) configure(*group, ws);
-  group->SetDenseOutput(dense_output_.value_or(
-      ctx.compaction != CompactionPolicy::kNever));
   return group;
 }
 
@@ -275,12 +271,6 @@ ColumnRef GroupNode::Max(ColumnRef col) {
     ws.slots[id] = group.AddOutput<int64_t>(offset);
   });
   return out;
-}
-
-GroupNode& GroupNode::DensePartitionOutput(bool on) {
-  dense_output_ = on;
-  Detail(std::string("dense partition output: ") + (on ? "on" : "off"));
-  return *this;
 }
 
 ColumnRef FixedAggNode::Sum(ColumnRef col, std::string name) {

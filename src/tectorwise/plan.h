@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -31,12 +30,12 @@
 // collector under an internal mutex.
 //
 // Slot-usage tracking. Every declaration records which columns its steps
-// consume. A Select is a batch-compaction point (see compaction.h) and must
-// register every column that is produced at or below it and read above it;
-// PR 1 listed those columns by hand (CompactColumn<T>), which ROADMAP
-// called the main correctness footgun — forgetting one column silently
-// misreads values through compacted positions. Build() derives the set
-// instead:
+// consume. Every Select is a batch-compaction point (see compaction.h):
+// its sparse output batches are merged into dense ones, so it must
+// register every column that is produced at or below it and read above
+// it — an unregistered column would be misread through compacted
+// positions. Build() derives the set instead of asking for hand-written
+// CompactColumn<T> lists:
 //
 //   registered(S) = produced(subtree(S))
 //                   ∩ (consumed(ancestors(S)) ∪ result columns)
@@ -743,13 +742,6 @@ class GroupNode : public PlanNode {
   /// Adds max(col) over an int64 column; returns its output column.
   ColumnRef Max(ColumnRef col);
 
-  /// Partition-emission compaction (ROADMAP follow-on): when enabled,
-  /// Next() packs groups from consecutive merged partitions into full
-  /// dense output vectors instead of emitting per-partition remnants, so
-  /// downstream operators (e.g. Q18's having-Select) see dense input.
-  /// Default: on whenever the compaction policy is not kNever.
-  GroupNode& DensePartitionOutput(bool on);
-
  private:
   friend class PlanBuilder;
   explicit GroupNode(PlanBuilder* builder)
@@ -762,7 +754,6 @@ class GroupNode : public PlanNode {
 
   std::vector<std::function<void(HashGroup&, plan_internal::Workspace&)>>
       config_;
-  std::optional<bool> dense_output_;
 };
 
 // ---------------------------------------------------------------------------

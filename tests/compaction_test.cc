@@ -14,10 +14,10 @@
 #include "tectorwise/primitives_simd.h"
 #include "tectorwise/steps.h"
 
-// Batch compaction: scalar <-> AVX-512 compress-store parity, the adaptive
-// policy's threshold boundaries at the Select compaction point, and
-// end-to-end result equality of all three policies on the full TPC-H / SSB
-// workload (the byte-identical-results contract of the compaction PR).
+// Batch compaction: scalar <-> AVX-512 compress-store parity, the density
+// threshold's boundaries at the Select compaction point, and end-to-end
+// equality of Tectorwise (which always compacts) with the Typer reference
+// on the full TPC-H / SSB workload across vector sizes and SIMD variants.
 
 namespace vcq::tectorwise {
 namespace {
@@ -108,7 +108,7 @@ TEST(CompactBytesTest, OddWidthRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Select compaction point: adaptive threshold boundaries
+// Select compaction point: density threshold boundaries
 // ---------------------------------------------------------------------------
 
 // Relation where value a[i] = i % period, so a < cutoff passes exactly
@@ -129,26 +129,29 @@ struct DrainResult {
   size_t batches = 0;
   size_t dense_batches = 0;  // emitted without a selection vector
   size_t max_count = 0;
+  size_t rows = 0;
 };
 
 DrainResult DrainSelect(const Relation& rel, const ExecContext& ctx,
-                        int32_t cutoff) {
+                        int32_t cutoff, bool register_b = true) {
   Scan::Shared shared(rel.tuple_count(), 1u << 30 /* one morsel */);
   auto scan = std::make_unique<Scan>(&shared, &rel, ctx.vector_size);
   Slot* a = scan->AddColumn<int32_t>("a");
   Slot* b = scan->AddColumn<int64_t>("b");
-  auto select = std::make_unique<Select>(std::move(scan), ctx);
+  auto select = std::make_unique<Select>(std::move(scan), ctx.vector_size);
   select->AddStep(MakeSelCmp<int32_t>(ctx, a, CmpOp::kLess, cutoff));
-  CompactColumn<int64_t>(ctx, select->compactor(), b);
+  if (register_b) CompactColumn<int64_t>(ctx, select->compactor(), b);
 
   DrainResult r;
   size_t n;
   while ((n = select->Next()) != kEndOfStream) {
     const pos_t* sel = select->sel();
-    const int64_t* col = Get<int64_t>(b);
     ++r.batches;
     r.dense_batches += (sel == nullptr) ? 1 : 0;
     r.max_count = std::max(r.max_count, n);
+    r.rows += n;
+    if (!register_b) continue;
+    const int64_t* col = Get<int64_t>(b);
     for (size_t k = 0; k < n; ++k)
       r.values.push_back(col[sel ? sel[k] : static_cast<pos_t>(k)]);
   }
@@ -165,21 +168,18 @@ std::vector<int64_t> ReferenceValues(size_t n, int32_t period,
   return out;
 }
 
-ExecContext AdaptiveCtx(size_t vector_size = 1024) {
+ExecContext Ctx(size_t vector_size = 1024) {
   ExecContext ctx;
   ctx.vector_size = vector_size;
-  ctx.compaction = CompactionPolicy::kAdaptive;
-  ctx.compaction_threshold = 0.25;
   return ctx;
 }
 
 TEST(SelectCompactionTest, SparseBatchesAreMergedDense) {
-  // ~1.6% density: 16 survivors per 1024-tuple batch; 64 batches fold into
-  // one full dense vector.
-  const Relation rel = MakePeriodic(64 * 1024, 64);
-  const ExecContext ctx = AdaptiveCtx();
-  const DrainResult r = DrainSelect(rel, ctx, 1);
-  EXPECT_EQ(r.values, ReferenceValues(64 * 1024, 64, 1));
+  // 8 survivors per 1024-tuple batch (density 1/128, below 1/64): 128
+  // batches fold into one full dense vector.
+  const Relation rel = MakePeriodic(128 * 1024, 128);
+  const DrainResult r = DrainSelect(rel, Ctx(), 1);
+  EXPECT_EQ(r.values, ReferenceValues(128 * 1024, 128, 1));
   EXPECT_EQ(r.dense_batches, r.batches);
   EXPECT_EQ(r.batches, 1u);  // 1024 survivors == exactly one full vector
   EXPECT_EQ(r.max_count, 1024u);
@@ -195,8 +195,7 @@ TEST(SelectCompactionTest, SingleSurvivorCompacts) {
     a[i] = (i == 3333) ? 0 : 1;
     b[i] = static_cast<int64_t>(i);
   }
-  const ExecContext ctx = AdaptiveCtx();
-  const DrainResult r = DrainSelect(rel, ctx, 1);
+  const DrainResult r = DrainSelect(rel, Ctx(), 1);
   ASSERT_EQ(r.values.size(), 1u);
   EXPECT_EQ(r.values[0], 3333);
   EXPECT_EQ(r.dense_batches, 1u);
@@ -204,54 +203,75 @@ TEST(SelectCompactionTest, SingleSurvivorCompacts) {
 
 TEST(SelectCompactionTest, EmptyResultYieldsEndOfStream) {
   const Relation rel = MakePeriodic(4096, 64);
-  const ExecContext ctx = AdaptiveCtx();
-  const DrainResult r = DrainSelect(rel, ctx, 0);  // nothing passes
+  const DrainResult r = DrainSelect(rel, Ctx(), 0);  // nothing passes
   EXPECT_TRUE(r.values.empty());
   EXPECT_EQ(r.batches, 0u);
 }
 
 TEST(SelectCompactionTest, DenseBatchesPassThroughUntouched) {
-  // Everything passes: density 1.0 >= threshold, so kAdaptive must leave
-  // batches alone (selection vector still present, no merged vectors).
+  // Everything passes: density 1.0 is above the threshold, so batches are
+  // left alone (selection vector still present, no merged vectors).
   const Relation rel = MakePeriodic(8192, 64);
-  const ExecContext ctx = AdaptiveCtx();
-  const DrainResult r = DrainSelect(rel, ctx, 64);
+  const DrainResult r = DrainSelect(rel, Ctx(), 64);
   EXPECT_EQ(r.values, ReferenceValues(8192, 64, 64));
   EXPECT_EQ(r.dense_batches, 0u);
   EXPECT_EQ(r.batches, 8u);
 }
 
 TEST(SelectCompactionTest, ThresholdBoundaryIsStrict) {
-  // threshold 0.25 at vector_size 1024 puts the boundary at 256 survivors:
-  // 256 per batch (density == threshold) passes through, 255 compacts.
-  const ExecContext ctx = AdaptiveCtx();
+  // kCompactionThreshold (1/64) at vector_size 1024 puts the boundary at
+  // 16 survivors: 16 per batch (density == threshold) passes through, 15
+  // compacts.
+  ASSERT_EQ(kCompactionThreshold * 1024, 16.0);
   {
-    const Relation rel = MakePeriodic(8192, 4);  // 256 survivors per batch
-    const DrainResult r = DrainSelect(rel, ctx, 1);
-    EXPECT_EQ(r.values, ReferenceValues(8192, 4, 1));
+    const Relation rel = MakePeriodic(8192, 64);  // 16 survivors per batch
+    const DrainResult r = DrainSelect(rel, Ctx(), 1);
+    EXPECT_EQ(r.values, ReferenceValues(8192, 64, 1));
     EXPECT_EQ(r.dense_batches, 0u);
+    EXPECT_EQ(r.batches, 8u);
   }
   {
-    // 128 survivors per batch: below threshold, all batches compact.
-    const Relation rel = MakePeriodic(8192, 8);
-    const DrainResult r = DrainSelect(rel, ctx, 1);
-    EXPECT_EQ(r.values, ReferenceValues(8192, 8, 1));
+    // 15 survivors per batch: below the threshold, all batches compact.
+    const Relation rel = MakePeriodic(16 * 1024, 1024);
+    const DrainResult r = DrainSelect(rel, Ctx(), 15);
+    EXPECT_EQ(r.values, ReferenceValues(16 * 1024, 1024, 15));
     EXPECT_EQ(r.dense_batches, r.batches);
+    EXPECT_EQ(r.batches, 1u);  // 240 survivors, flushed at end of stream
   }
 }
 
-TEST(SelectCompactionTest, AlwaysPolicyMatchesReference) {
-  const Relation rel = MakePeriodic(10007, 16);
-  ExecContext ctx = AdaptiveCtx(255);  // odd vector size, partial flushes
-  ctx.compaction = CompactionPolicy::kAlways;
-  const DrainResult r = DrainSelect(rel, ctx, 5);
-  EXPECT_EQ(r.values, ReferenceValues(10007, 16, 5));
+TEST(SelectCompactionTest, OddVectorSizeFlushesFullAndPartialVectors) {
+  // ~2 survivors per 255-tuple batch (below 255 / 64): merged into full
+  // 255-row vectors plus one partial remainder at end of stream.
+  const Relation rel = MakePeriodic(100'000, 128);
+  const DrainResult r = DrainSelect(rel, Ctx(255), 1);
+  EXPECT_EQ(r.values, ReferenceValues(100'000, 128, 1));
   EXPECT_EQ(r.dense_batches, r.batches);
-  EXPECT_LE(r.max_count, 255u);
+  EXPECT_EQ(r.max_count, 255u);
+  EXPECT_EQ(r.batches, (r.values.size() + 254) / 255);
+}
+
+TEST(SelectCompactionTest, VectorSizeOneNeverCompacts) {
+  // 1/64 of a one-tuple vector is below one tuple: no batch is sparse.
+  const Relation rel = MakePeriodic(4096, 64);
+  const DrainResult r = DrainSelect(rel, Ctx(1), 1);
+  EXPECT_EQ(r.values, ReferenceValues(4096, 64, 1));
+  EXPECT_EQ(r.dense_batches, 0u);
+  EXPECT_EQ(r.batches, r.values.size());
+}
+
+TEST(SelectCompactionTest, UnregisteredSelectMergesCounts) {
+  // No column is read above the Select (a count(*)): sparse batches merge
+  // into full counts without copying any column.
+  const Relation rel = MakePeriodic(128 * 1024, 128);
+  const DrainResult r = DrainSelect(rel, Ctx(), 1, /*register_b=*/false);
+  EXPECT_EQ(r.rows, ReferenceValues(128 * 1024, 128, 1).size());
+  EXPECT_EQ(r.batches, 1u);
+  EXPECT_EQ(r.dense_batches, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: all three policies produce byte-identical query results
+// End-to-end: Tectorwise matches the Typer reference byte for byte
 // ---------------------------------------------------------------------------
 
 const Database& TpchDb() {
@@ -264,47 +284,37 @@ const Database& SsbDb() {
   return *db;
 }
 
-QueryOptions PolicyOptions(runtime::CompactionMode mode, size_t vector_size,
-                           bool simd) {
+QueryOptions TwOptions(size_t vector_size, bool simd) {
   QueryOptions opt;
   opt.threads = 2;
   opt.vector_size = vector_size;
   opt.simd = simd;
-  opt.compaction = mode;
   return opt;
 }
 
-TEST(CompactionEquivalenceTest, Q3AcrossPoliciesAndVectorSizes) {
-  for (const size_t vector_size : {size_t{64}, size_t{1024}, size_t{4096}}) {
-    const QueryResult expected =
-        RunQuery(TpchDb(), Engine::kTectorwise, Query::kQ3,
-                 PolicyOptions(runtime::CompactionMode::kNever, vector_size,
-                               false));
-    for (const auto mode : {runtime::CompactionMode::kAlways,
-                            runtime::CompactionMode::kAdaptive}) {
-      for (const bool simd : {false, true}) {
-        const QueryResult got =
-            RunQuery(TpchDb(), Engine::kTectorwise, Query::kQ3,
-                     PolicyOptions(mode, vector_size, simd));
-        EXPECT_EQ(expected.ToString(), got.ToString())
-            << "vector_size=" << vector_size << " mode="
-            << static_cast<int>(mode) << " simd=" << simd;
-      }
+TEST(CompactionEquivalenceTest, Q3AcrossVectorSizesAndSimd) {
+  const QueryResult expected =
+      RunQuery(TpchDb(), Engine::kTyper, Query::kQ3, QueryOptions{});
+  for (const size_t vector_size : {size_t{1}, size_t{64}, size_t{1024},
+                                   size_t{4096}, size_t{65536}}) {
+    for (const bool simd : {false, true}) {
+      const QueryResult got = RunQuery(TpchDb(), Engine::kTectorwise,
+                                       Query::kQ3, TwOptions(vector_size, simd));
+      EXPECT_EQ(expected.ToString(), got.ToString())
+          << "vector_size=" << vector_size << " simd=" << simd;
     }
   }
 }
 
-TEST(CompactionEquivalenceTest, AllQueriesAcrossPolicies) {
+TEST(CompactionEquivalenceTest, AllQueriesMatchTyper) {
   auto check = [](const Database& db, Query query) {
     const QueryResult expected =
-        RunQuery(db, Engine::kTectorwise, query,
-                 PolicyOptions(runtime::CompactionMode::kNever, 1024, false));
-    for (const auto mode : {runtime::CompactionMode::kAlways,
-                            runtime::CompactionMode::kAdaptive}) {
-      const QueryResult got = RunQuery(db, Engine::kTectorwise, query,
-                                       PolicyOptions(mode, 1024, false));
+        RunQuery(db, Engine::kTyper, query, QueryOptions{});
+    for (const bool simd : {false, true}) {
+      const QueryResult got =
+          RunQuery(db, Engine::kTectorwise, query, TwOptions(1024, simd));
       EXPECT_EQ(expected.ToString(), got.ToString())
-          << QueryName(query) << " mode=" << static_cast<int>(mode);
+          << QueryName(query) << " simd=" << simd;
     }
   };
   for (const Query query : TpchQueries()) check(TpchDb(), query);

@@ -81,6 +81,8 @@ TEST_P(VectorSizeTest, MapAndFixedAggregation) {
   Slot* b = scan->AddColumn<int64_t>("b");
   auto select = std::make_unique<Select>(std::move(scan), vecsize);
   select->AddStep(MakeSelCmp<int32_t>(ctx, a, CmpOp::kLess, 10));
+  // `b` is read above the Select, which may merge sparse batches.
+  CompactColumn<int64_t>(ctx, select->compactor(), b);
   auto map = std::make_unique<Map>(std::move(select), vecsize);
   Slot* doubled = map->AddOutput<int64_t>();
   map->AddStep(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -15,10 +16,10 @@
 
 // The declarative plan-builder layer: slot-usage-derived compaction
 // registration (unit tests on synthetic plans + a cross-check that the
-// derived sets cover the hand-written CompactColumn lists PR 1 shipped for
-// every studied query), misuse detection, and result equality of every
-// builder-described query across all compaction policies and thread
-// counts.
+// derived sets cover the hand-written CompactColumn lists the first
+// compaction plans shipped for every studied query), misuse detection, and
+// result equality of every builder-described query with the Typer
+// reference across thread counts and vector sizes.
 
 namespace vcq::tectorwise {
 namespace {
@@ -220,10 +221,10 @@ TEST(PlanDerivationTest, MisuseAcrossRematerializingOperatorIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Builder-described execution matches a scalar reference on all policies
+// Builder-described execution matches a scalar reference
 // ---------------------------------------------------------------------------
 
-TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
+TEST(PlanExecutionTest, JoinGroupPipelineMatchesReference) {
   const Relation fact = MakeFact(50'000);
   Relation dim;
   constexpr size_t kDim = 100;
@@ -247,9 +248,8 @@ TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
     }
   }
 
-  for (const auto mode :
-       {runtime::CompactionMode::kNever, runtime::CompactionMode::kAlways,
-        runtime::CompactionMode::kAdaptive}) {
+  for (const size_t vector_size :
+       {size_t{1}, size_t{64}, size_t{1024}, size_t{65536}}) {
     for (const size_t threads : {size_t{1}, size_t{3}}) {
       PlanBuilder pb("t");
       auto& dscan = pb.Scan(dim, "dim");
@@ -276,8 +276,7 @@ TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
 
       QueryOptions opt;
       opt.threads = threads;
-      opt.compaction = mode;
-      opt.compaction_threshold = 0.25;
+      opt.vector_size = vector_size;
 
       std::map<int32_t, int64_t> got;
       plan.Run(opt, [&](const Plan::Batch& batch) {
@@ -286,16 +285,16 @@ TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
               batch.Column<int64_t>(g_b)[i];
         }
       });
-      EXPECT_EQ(got, want) << "mode=" << static_cast<int>(mode)
+      EXPECT_EQ(got, want) << "vector_size=" << vector_size
                            << " threads=" << threads;
     }
   }
 }
 
-TEST(PlanExecutionTest, DensePartitionOutputMergesGroupEmission) {
-  // 512 groups spread over HashGroup's 64 hash partitions: per-partition
-  // emission produces ~64 tiny batches, partition-emission compaction must
-  // fold them into ceil(512 / 1024) = 1 full dense vector (same rows).
+TEST(PlanExecutionTest, GroupEmissionPacksPartitionsIntoFullVectors) {
+  // 512 groups spread over HashGroup's 64 hash partitions: emission packs
+  // consecutive partitions into full vectors, so all of them arrive in
+  // ceil(512 / 1024) = 1 dense batch instead of one batch per partition.
   const size_t n = 100'000;
   Relation fact;
   {
@@ -306,31 +305,107 @@ TEST(PlanExecutionTest, DensePartitionOutputMergesGroupEmission) {
       b[i] = static_cast<int64_t>(i);
     }
   }
-  auto run = [&](bool dense) {
-    PlanBuilder pb("t");
-    auto& scan = pb.Scan(fact, "fact");
-    const ColumnRef a = scan.Col<int32_t>("a");
-    const ColumnRef b = scan.Col<int64_t>("b");
-    auto& group = pb.HashGroup(scan);
-    const ColumnRef g_a = group.Key<int32_t>(a);
-    const ColumnRef g_b = group.Sum(b);
-    group.DensePartitionOutput(dense);
-    const Plan plan = pb.Build(group, {g_a, g_b});
-    std::map<int32_t, int64_t> got;
-    size_t batches = 0;
-    plan.Run(QueryOptions{}, [&](const Plan::Batch& batch) {
-      ++batches;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        got[batch.Column<int32_t>(g_a)[i]] += batch.Column<int64_t>(g_b)[i];
-      }
-    });
-    return std::pair<std::map<int32_t, int64_t>, size_t>{got, batches};
-  };
-  const auto [sparse_rows, sparse_batches] = run(false);
-  const auto [dense_rows, dense_batches] = run(true);
-  EXPECT_EQ(sparse_rows, dense_rows);
-  EXPECT_EQ(dense_batches, 1u);
-  EXPECT_GT(sparse_batches, 32u);  // one batch per non-empty partition
+  std::map<int32_t, int64_t> want;
+  for (size_t i = 0; i < n; ++i)
+    want[static_cast<int32_t>(i % 512)] += static_cast<int64_t>(i);
+
+  PlanBuilder pb("t");
+  auto& scan = pb.Scan(fact, "fact");
+  const ColumnRef a = scan.Col<int32_t>("a");
+  const ColumnRef b = scan.Col<int64_t>("b");
+  auto& group = pb.HashGroup(scan);
+  const ColumnRef g_a = group.Key<int32_t>(a);
+  const ColumnRef g_b = group.Sum(b);
+  const Plan plan = pb.Build(group, {g_a, g_b});
+  std::map<int32_t, int64_t> got;
+  size_t batches = 0;
+  plan.Run(QueryOptions{}, [&](const Plan::Batch& batch) {
+    ++batches;
+    EXPECT_EQ(batch.sel(), nullptr);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      got[batch.Column<int32_t>(g_a)[i]] += batch.Column<int64_t>(g_b)[i];
+    }
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(batches, 1u);
+}
+
+TEST(PlanExecutionTest, JoinFanOutCarriesHitsAcrossEmissions) {
+  // Every build key has 8 rows, so one probe batch yields up to 8 *
+  // vector_size hits. The first half of the probe side matches ~1% of its
+  // rows (sparse rounds that wait in the join's output buffers), the second
+  // half matches every row (dense rounds appended behind that backlog), so
+  // hits straddle the vector_size emission boundary and are carried over
+  // to the next batch.
+  constexpr int32_t kKeys = 64;
+  constexpr size_t kFanOut = 8;
+  Relation dim;
+  {
+    auto k = dim.AddColumn<int32_t>("k", kKeys * kFanOut);
+    auto p = dim.AddColumn<int64_t>("p", kKeys * kFanOut);
+    for (size_t i = 0; i < kKeys * kFanOut; ++i) {
+      k[i] = static_cast<int32_t>(i % kKeys);
+      p[i] = static_cast<int64_t>(i) * 1000;
+    }
+  }
+  const size_t n = 60'000;
+  Relation fact;
+  {
+    auto a = fact.AddColumn<int32_t>("a", n);
+    auto b = fact.AddColumn<int64_t>("b", n);
+    for (size_t i = 0; i < n; ++i) {
+      a[i] = i < n / 2 ? static_cast<int32_t>((i * 2654435761u) % 6400)
+                       : static_cast<int32_t>(i % kKeys);
+      b[i] = static_cast<int64_t>(i);
+    }
+  }
+  std::multimap<int32_t, int64_t> build;
+  {
+    const auto k = dim.Col<int32_t>("k");
+    const auto p = dim.Col<int64_t>("p");
+    for (size_t i = 0; i < dim.tuple_count(); ++i) build.emplace(k[i], p[i]);
+  }
+  std::vector<std::pair<int64_t, int64_t>> want;
+  {
+    const auto a = fact.Col<int32_t>("a");
+    const auto b = fact.Col<int64_t>("b");
+    for (size_t i = 0; i < n; ++i) {
+      const auto [lo, hi] = build.equal_range(a[i]);
+      for (auto it = lo; it != hi; ++it) want.emplace_back(b[i], it->second);
+    }
+  }
+  std::sort(want.begin(), want.end());
+
+  for (const size_t vector_size : {size_t{1}, size_t{64}, size_t{1024}}) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      PlanBuilder pb("t");
+      auto& dscan = pb.Scan(dim, "dim");
+      const ColumnRef k = dscan.Col<int32_t>("k");
+      const ColumnRef p = dscan.Col<int64_t>("p");
+      auto& fscan = pb.Scan(fact, "fact");
+      const ColumnRef a = fscan.Col<int32_t>("a");
+      const ColumnRef b = fscan.Col<int64_t>("b");
+      auto& join = pb.HashJoin(dscan, fscan);
+      join.Key<int32_t>(a, k);
+      const ColumnRef j_b = join.Probe<int64_t>(b);
+      const ColumnRef j_p = join.Build<int64_t>(p);
+      const Plan plan = pb.Build(join, {j_b, j_p});
+
+      QueryOptions opt;
+      opt.threads = threads;
+      opt.vector_size = vector_size;
+      std::vector<std::pair<int64_t, int64_t>> got;
+      plan.Run(opt, [&](const Plan::Batch& batch) {
+        EXPECT_LE(batch.size(), vector_size);
+        for (size_t i = 0; i < batch.size(); ++i)
+          got.emplace_back(batch.Value<int64_t>(j_b, i),
+                           batch.Value<int64_t>(j_p, i));
+      });
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "vector_size=" << vector_size
+                           << " threads=" << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -401,29 +476,28 @@ TEST(PlanRegistrationTest, ToStringListsNodesAndRegistrations) {
 }
 
 // ---------------------------------------------------------------------------
-// All nine queries: byte-identical results across policies x threads
+// All nine queries: byte-identical to Typer across threads x vector sizes
 // ---------------------------------------------------------------------------
 
-QueryOptions MatrixOptions(runtime::CompactionMode mode, size_t threads) {
+QueryOptions MatrixOptions(size_t threads, size_t vector_size) {
   QueryOptions opt;
   opt.threads = threads;
-  opt.compaction = mode;
+  opt.vector_size = vector_size;
   return opt;
 }
 
-TEST(PlanEquivalenceTest, AllQueriesAcrossPoliciesAndThreads) {
+constexpr size_t kVectorSizes[] = {1, 1024, 65536};
+
+TEST(PlanEquivalenceTest, AllQueriesMatchTyperAcrossThreadsAndVectorSizes) {
   auto check = [](const Database& db, Query query) {
-    const QueryResult baseline =
-        RunQuery(db, Engine::kTectorwise, query,
-                 MatrixOptions(runtime::CompactionMode::kNever, 1));
-    for (const auto mode :
-         {runtime::CompactionMode::kNever, runtime::CompactionMode::kAlways,
-          runtime::CompactionMode::kAdaptive}) {
+    const QueryResult expected =
+        RunQuery(db, Engine::kTyper, query, MatrixOptions(1, 1024));
+    for (const size_t vector_size : kVectorSizes) {
       for (const size_t threads : {size_t{1}, size_t{4}}) {
         const QueryResult got = RunQuery(db, Engine::kTectorwise, query,
-                                         MatrixOptions(mode, threads));
-        EXPECT_EQ(baseline.ToString(), got.ToString())
-            << QueryName(query) << " mode=" << static_cast<int>(mode)
+                                         MatrixOptions(threads, vector_size));
+        EXPECT_EQ(expected.ToString(), got.ToString())
+            << QueryName(query) << " vector_size=" << vector_size
             << " threads=" << threads;
       }
     }
@@ -432,20 +506,17 @@ TEST(PlanEquivalenceTest, AllQueriesAcrossPoliciesAndThreads) {
   for (const Query query : SsbQueries()) check(SsbDb(), query);
 }
 
-TEST(PlanEquivalenceTest, AdaptiveQ1MatchesHashQ1AcrossPolicies) {
-  const QueryResult baseline =
-      RunQuery(TpchDb(), Engine::kTectorwise, Query::kQ1,
-               MatrixOptions(runtime::CompactionMode::kNever, 1));
-  for (const auto mode :
-       {runtime::CompactionMode::kNever, runtime::CompactionMode::kAlways,
-        runtime::CompactionMode::kAdaptive}) {
+TEST(PlanEquivalenceTest, AdaptiveQ1MatchesTyperAcrossThreadsAndVectorSizes) {
+  const QueryResult expected =
+      RunQuery(TpchDb(), Engine::kTyper, Query::kQ1, MatrixOptions(1, 1024));
+  for (const size_t vector_size : kVectorSizes) {
     for (const size_t threads : {size_t{1}, size_t{4}}) {
-      QueryOptions opt = MatrixOptions(mode, threads);
+      QueryOptions opt = MatrixOptions(threads, vector_size);
       opt.adaptive = true;
       const QueryResult got =
           RunQuery(TpchDb(), Engine::kTectorwise, Query::kQ1, opt);
-      EXPECT_EQ(baseline.ToString(), got.ToString())
-          << "mode=" << static_cast<int>(mode) << " threads=" << threads;
+      EXPECT_EQ(expected.ToString(), got.ToString())
+          << "vector_size=" << vector_size << " threads=" << threads;
     }
   }
 }

@@ -18,7 +18,7 @@
 // The Session API contract:
 //  - prepared re-execution identity: Execute() x3 on one PreparedQuery is
 //    byte-identical to the one-shot RunQuery for every query, engine,
-//    compaction policy, and thread count;
+//    Tectorwise vector size, and thread count;
 //  - concurrent mixed-query execution on shared sessions matches the
 //    serial reference (run under TSan in CI);
 //  - parameter binding: explicit spec-default bindings reproduce the
@@ -28,7 +28,6 @@
 namespace vcq {
 namespace {
 
-using runtime::CompactionMode;
 using runtime::Database;
 using runtime::QueryOptions;
 using runtime::QueryParams;
@@ -57,20 +56,21 @@ TEST(SessionTest, PreparedReExecutionMatchesOneShotRunQuery) {
     const Database& db = DbFor(q);
     Session session(db);
     for (Engine e : {Engine::kTyper, Engine::kTectorwise}) {
-      for (CompactionMode policy :
-           {CompactionMode::kNever, CompactionMode::kAdaptive}) {
-        // Compaction is a Tectorwise knob; skip the redundant Typer cell.
-        if (e == Engine::kTyper && policy != CompactionMode::kNever) continue;
+      for (size_t vector_size : {size_t{1}, size_t{1024}, size_t{65536}}) {
+        // The vector size is a Tectorwise knob; skip the redundant Typer
+        // cells.
+        if (e == Engine::kTyper && vector_size != 1024) continue;
         for (size_t threads : {size_t{1}, size_t{8}}) {
           QueryOptions opt;
           opt.threads = threads;
-          opt.compaction = policy;
+          opt.vector_size = vector_size;
           const QueryResult expected = RunQuery(db, e, q, opt);
           PreparedQuery prepared = session.Prepare(e, q, opt);
           for (int rep = 0; rep < 3; ++rep) {
             EXPECT_EQ(prepared.Execute(), expected)
                 << QueryName(q) << " on " << EngineName(e)
-                << " threads=" << threads << " rep=" << rep;
+                << " vector_size=" << vector_size << " threads=" << threads
+                << " rep=" << rep;
           }
         }
       }
@@ -84,7 +84,6 @@ TEST(SessionTest, FourConcurrentPreparedQueriesOnOneSession) {
   Session session(TpchDb());
   QueryOptions opt;
   opt.threads = 4;
-  opt.compaction = CompactionMode::kAdaptive;
   std::vector<PreparedQuery> prepared;
   prepared.push_back(session.Prepare(Engine::kTyper, Query::kQ6, opt));
   prepared.push_back(session.Prepare(Engine::kTectorwise, Query::kQ3, opt));

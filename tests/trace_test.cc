@@ -306,7 +306,7 @@ TEST(TraceTest, TyperPipelineSpansCoverTheWallTime) {
   EXPECT_GE(best, 0.95);
 }
 
-TEST(TraceTest, JoinBuildTelemetryFollowsTheTraceSink) {
+TEST(TraceTest, JoinBuildSpansFollowTheTraceSink) {
   // The trace sink is the only switch for per-site build telemetry: a
   // standalone Tectorwise run with nothing but `trace_sink` set records a
   // build span at every hash-join node, and at no other node.
