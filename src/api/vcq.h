@@ -105,6 +105,21 @@
 //      kRejected while lighter tenants keep queueing — overload degrades
 //      the tenant causing it, not the whole process.
 //
+// Memory model: a warm execution reuses the memory of the previous ones.
+// The large per-query allocations — MemPool chunks (materialize pools,
+// group row blocks), hash-table directories and join-build arenas — come
+// from one process-wide runtime::BlockCache (runtime/block_cache.h) and go
+// back to it when the run ends, instead of to the system allocator, which
+// would unmap them and fault them in again, page by page, on the next
+// run. The cache keeps a block only while its cached bytes plus the
+// governor's in-use bytes stay within the governor's high-water mark
+// (runtime::ResourceGovernor::peak()), so an idle process never holds more
+// than its busiest moment did; the vcq.memory.cached_bytes gauge reports
+// it. Cached bytes belong to no query: budgets, the governor's in_use()
+// and MemPool::live_bytes() count only memory that live executions hold,
+// and all three return to their baselines after every run. There is no
+// setting.
+//
 // Execution knobs: the engine-level strategies the paper's sections vary
 // — Tectorwise vector size (§4.1), SIMD primitives (§5), relaxed operator
 // fusion (§9.1, QueryOptions::rof) and micro-adaptive aggregation (§8.4)

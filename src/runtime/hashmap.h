@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "common/bit_util.h"
 #include "common/check.h"
 #include "runtime/barrier.h"
+#include "runtime/block_cache.h"
 #include "runtime/cancel.h"
 #include "runtime/fault_injector.h"
 #include "runtime/resource_governor.h"
@@ -31,6 +33,10 @@ namespace vcq::runtime {
 /// layouts that start with EntryHeader and do their own key comparisons,
 /// which is precisely the paper's framing (Typer fuses the comparison into
 /// the probe loop; Tectorwise runs one compare primitive per key column).
+///
+/// The bucket array is a BlockCache::Global() block, given back when the
+/// table is resized or destroyed, so a warm execution reuses the
+/// directory pages of the previous one.
 class Hashmap {
  public:
   struct EntryHeader {
@@ -51,10 +57,13 @@ class Hashmap {
   /// capacity/mask pair that disagrees with the live bucket array.
   void SetSize(size_t entry_count) {
     const size_t capacity = NextPow2(entry_count * 2);
-    auto buckets = std::make_unique<std::atomic<uintptr_t>[]>(capacity);
+    Block block =
+        BlockCache::Global().Take(capacity * sizeof(std::atomic<uintptr_t>));
+    auto* buckets = reinterpret_cast<std::atomic<uintptr_t>*>(block.data());
     for (size_t i = 0; i < capacity; ++i)
-      buckets[i].store(0, std::memory_order_relaxed);
-    buckets_ = std::move(buckets);
+      new (&buckets[i]) std::atomic<uintptr_t>(0);
+    block_ = std::move(block);  // the old directory goes back to the cache
+    buckets_ = buckets;
     capacity_ = capacity;
     mask_ = capacity_ - 1;
   }
@@ -117,11 +126,12 @@ class Hashmap {
   }
 
   /// Raw bucket array (SIMD gather probing, Fig. 8/9).
-  const std::atomic<uintptr_t>* buckets() const { return buckets_.get(); }
+  const std::atomic<uintptr_t>* buckets() const { return buckets_; }
   uint64_t mask() const { return mask_; }
 
  private:
-  std::unique_ptr<std::atomic<uintptr_t>[]> buckets_;
+  Block block_;  // owns buckets_
+  std::atomic<uintptr_t>* buckets_ = nullptr;
   size_t capacity_ = 0;
   uint64_t mask_ = 0;
 };
@@ -146,11 +156,17 @@ struct EntryChunkList {
     total += rows;
   }
 
-  /// Moves every live chunk's rows into `file` (one segment per chunk,
-  /// write order = creation order) and forgets them; the caller releases
-  /// the backing memory. `stride` is the row size.
+  /// Moves every live chunk's rows into `file` (one segment per run of
+  /// chunks adjacent in memory, write order = creation order) and forgets
+  /// them; the caller releases the backing memory. `stride` is the row
+  /// size.
   void SpillTo(SpillFile* file, size_t stride) {
-    for (const auto& [base, rows] : chunks) {
+    for (size_t i = 0; i < chunks.size();) {
+      std::byte* const base = chunks[i].first;
+      size_t rows = 0;
+      do {
+        rows += chunks[i++].second;
+      } while (i < chunks.size() && chunks[i].first == base + rows * stride);
       if (rows == 0) continue;
       file->Append(0, base, rows * stride, rows);
       spilled_rows += rows;
@@ -184,7 +200,8 @@ struct JoinBuildEnv {
 ///   sizing barrier  the last worker to arrive sums the per-worker row
 ///                   counts (live + spilled) into the total and each
 ///                   worker's arena segment offset, sizes the directory and
-///                   allocates one arena of total × stride bytes;
+///                   takes one arena of total × stride bytes from the
+///                   BlockCache;
 ///   fill            each worker copies its own rows into its own segment
 ///                   with sequential writes (spilled segments first, then
 ///                   live chunks), then inserts that segment's entries —
@@ -267,7 +284,7 @@ class JoinBuild {
               poisoned_.store(true, std::memory_order_release);
               return;
             }
-            arena_.reset(new std::byte[total_ * stride_]);
+            arena_ = BlockCache::Global().Take(total_ * stride_);
             Charge(total_ * stride_);
           } catch (...) {
             poisoned_.store(true, std::memory_order_release);
@@ -311,14 +328,14 @@ class JoinBuild {
   /// Total build-side rows (valid after Run returns).
   size_t entry_count() const { return total_; }
   /// Entry arena holding every row (worker segments in worker order).
-  const std::byte* arena() const { return arena_.get(); }
+  const std::byte* arena() const { return arena_.data(); }
 
  private:
   /// Copies worker `wid`'s rows into its arena segment — spilled segments
   /// read straight into place in write order, then the live chunks — and
   /// inserts them.
   void Fill(size_t wid) {
-    std::byte* const seg = arena_.get() + seg_offsets_[wid] * stride_;
+    std::byte* const seg = arena_.data() + seg_offsets_[wid] * stride_;
     const size_t rows = seg_offsets_[wid + 1] - seg_offsets_[wid];
     const EntryChunkList& list = published_[wid];
     std::byte* dst = seg;
@@ -370,7 +387,7 @@ class JoinBuild {
   std::vector<size_t> seg_offsets_;
   size_t stride_ = 0;
   size_t total_ = 0;
-  std::unique_ptr<std::byte[]> arena_;
+  Block arena_;  // given back after the destructor uncharges it
   uint64_t start_ns_ = 0;  // written/read only under the barrier's on_last
 };
 

@@ -4,11 +4,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bit_util.h"
 #include "common/check.h"
+#include "runtime/block_cache.h"
 #include "runtime/fault_injector.h"
 #include "runtime/resource_governor.h"
 
@@ -21,6 +22,10 @@ namespace vcq::runtime {
 /// the rows have been relocated elsewhere (the join build copies every
 /// entry into its arena, after which the materialize-phase chunks here are
 /// dead weight).
+///
+/// Chunks come from BlockCache::Global() and go back to it on release, so
+/// a warm execution reuses the pages the previous one faulted in. Chunk
+/// memory is not zeroed: callers write every byte they later read.
 ///
 /// Resource governance: Bind() attaches the run's QueryLedger and
 /// FaultInjector. Every chunk the pool grows by is charged to the ledger
@@ -96,8 +101,9 @@ class MemPool {
     return new (Allocate(sizeof(T))) T(std::forward<Args>(args)...);
   }
 
-  /// Frees every chunk now (all handed-out pointers become dangling); the
-  /// pool stays usable for new allocations. Idempotent — a second Release
+  /// Uncharges every chunk and gives it back to the BlockCache now (all
+  /// handed-out pointers become dangling); the pool stays usable for new
+  /// allocations. Idempotent — a second Release
   /// (or Release after the unwind of a failed build already ran it) is a
   /// no-op: owned_bytes_ is zeroed with the chunks, so neither
   /// live_bytes() nor the ledger can be double-decremented, and the next
@@ -115,6 +121,12 @@ class MemPool {
     current_ = nullptr;
     current_size_ = 0;
     used_ = 0;
+  }
+
+  /// True when Allocate(bytes) would grow a new chunk — the chunk boundary
+  /// the join builds relieve spill pressure at.
+  bool WouldGrow(size_t bytes) const {
+    return used_ + AlignUp(bytes, 8) > current_size_;
   }
 
   /// Total bytes handed out over the pool's lifetime (diagnostics).
@@ -137,8 +149,8 @@ class MemPool {
     FaultHit(fault_, fault_site_, ledger_ != nullptr ? ledger_->token()
                                                      : nullptr);
     const size_t size = std::max(chunk_bytes_, NextPow2(min_bytes));
-    chunks_.push_back(std::make_unique<std::byte[]>(size));
-    current_ = chunks_.back().get();
+    chunks_.push_back(BlockCache::Global().Take(size));
+    current_ = chunks_.back().data();
     current_size_ = size;
     used_ = 0;
     total_allocated_ += size;
@@ -151,7 +163,7 @@ class MemPool {
   }
 
   size_t chunk_bytes_;
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  std::vector<Block> chunks_;
   std::byte* current_ = nullptr;
   size_t current_size_ = 0;
   size_t used_ = 0;

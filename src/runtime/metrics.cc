@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "runtime/block_cache.h"
 #include "runtime/resource_governor.h"
 #include "runtime/worker_pool.h"
 
@@ -214,6 +215,9 @@ void InstallDefaultProbes() {
           .Set(static_cast<int64_t>(gov.in_use()));
       reg.GetGauge("vcq.governor.peak_bytes")
           .Set(static_cast<int64_t>(gov.peak()));
+      reg.GetGauge("vcq.memory.cached_bytes")
+          .Set(static_cast<int64_t>(
+              runtime::BlockCache::Global().cached_bytes()));
     });
   });
 }

@@ -33,9 +33,10 @@
 // Session::MetricsSnapshot(), engine_explorer --metrics, sql_shell
 // \metrics, and metrics::RenderPrometheus() for scrapers.
 //
-// Probes: pull-style sources (scheduler queue depth, governor bytes)
-// register a callback that refreshes gauges right before a snapshot, so
-// hot paths never push values nobody reads. InstallDefaultProbes() wires
+// Probes: pull-style sources (scheduler queue depth, governor bytes, the
+// block cache's vcq.memory.cached_bytes) register a callback that
+// refreshes gauges right before a snapshot, so hot paths never push
+// values nobody reads. InstallDefaultProbes() wires
 // the library's standard probes and is called by both Render entry
 // points (idempotent).
 

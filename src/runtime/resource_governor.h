@@ -36,8 +36,16 @@
 // files until usage drops back under the budget. The pressure signal is
 // computed live from current usage, so relieving memory clears it without
 // any reset call. bad_alloc remains the hard backstop in both modes.
+//
+// Memory a query gives back may stay warm in runtime::BlockCache (see
+// runtime/block_cache.h) for the next execution. Those cached bytes are
+// outside every ledger and outside in_use(): the cache holds them only
+// while cached + in_use() <= peak(), so it never lifts the process above
+// the governed high-water mark already reached.
 
 namespace vcq::runtime {
+
+class BlockCache;
 
 /// Process-wide memory accountant. Budget 0 = unlimited (the default:
 /// standalone benches run ungoverned, exactly the seed behavior).
@@ -89,15 +97,17 @@ class ResourceGovernor {
   size_t in_use() const { return in_use_.load(std::memory_order_relaxed); }
   /// High-water mark since ResetPeak (bench/ablation_memory_pressure).
   size_t peak() const { return peak_.load(std::memory_order_relaxed); }
-  void ResetPeak() {
-    peak_.store(in_use_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  }
+  /// Restarts the high-water mark at current usage and trims the attached
+  /// BlockCache to the lowered bound (defined in runtime/block_cache.cc).
+  void ResetPeak();
 
  private:
+  friend class BlockCache;
+
   std::atomic<size_t> budget_{0};
   std::atomic<size_t> in_use_{0};
   std::atomic<size_t> peak_{0};
+  std::atomic<BlockCache*> cache_{nullptr};  // the cache bounded by peak_
 };
 
 /// Per-execution memory ledger. Thread-safe: all of a run's workers charge

@@ -37,26 +37,33 @@ void HashJoin::BuildPhase() {
 
   size_t n;
   runtime::SpillFile* spill_file = nullptr;
+  // Under spill pressure, evicts the materialized rows to a temp file and
+  // releases the pool.
+  const auto relieve = [&] {
+    if (ctx_.spill == nullptr || chunks_.chunks.empty() ||
+        ctx_.ledger == nullptr || !ctx_.ledger->UnderPressure())
+      return;
+    if (spill_file == nullptr)
+      spill_file = ctx_.spill->Create("tw.join", ctx_.site);
+    chunks_.SpillTo(spill_file, stride);
+    pool_.Release();
+  };
   while ((n = build_->Next()) != kEndOfStream) {
     if (n == 0) continue;
     build_hash_(n, build_->sel(), hashes, pos);
     for (const RehashStep& step : build_rehash_) step(n, pos, hashes);
-    // Batch boundary — every materialized chunk is complete, the one safe
-    // point to relieve spill pressure: evict the finished chunks to a temp
-    // file and release the pool before materializing the next batch.
-    if (ctx_.spill != nullptr && !chunks_.chunks.empty() &&
-        ctx_.ledger != nullptr && ctx_.ledger->UnderPressure()) {
-      if (spill_file == nullptr)
-        spill_file = ctx_.spill->Create("tw.join", ctx_.site);
-      chunks_.SpillTo(spill_file, stride);
-      pool_.Release();
-    }
+    // Relieve pressure only where the pool would grow: spill I/O then
+    // follows the bytes (one write per chunk), not the batch count.
+    if (pool_.WouldGrow(n * stride)) relieve();
     auto* base = static_cast<std::byte*>(pool_.Allocate(n * stride));
     ScatterHashes(n, hashes, base, stride);
     for (const ScatterStep& step : scatter_steps_)
       step(n, pos, base, stride);
     chunks_.Add(base, n);
   }
+  // The last, partial chunk: spilled before the build takes its arena, so
+  // pool and arena never hold the rows twice under pressure.
+  relieve();
   shared_->build.Run(std::move(chunks_), stride);
   // Every entry now lives in the build's arena: free this worker's
   // materialize-phase chunks instead of carrying them through the probe.

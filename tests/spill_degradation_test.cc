@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "api/session.h"
@@ -16,6 +17,7 @@
 #include "runtime/mem_pool.h"
 #include "runtime/resource_governor.h"
 #include "runtime/spill.h"
+#include "runtime/trace.h"
 
 // PR 8 acceptance: degrade, don't die.
 //
@@ -190,6 +192,50 @@ TEST(SpillTest, MidSpillFaultRestoresEveryBaseline) {
       EXPECT_EQ(ResourceGovernor::Global().in_use(), gov_before);
       EXPECT_EQ(SpillDirEntries(), dir_before)
           << "mid-spill failure left temp files in " << SpillDir();
+    }
+  }
+}
+
+TEST(SpillTest, JoinSpillWritesFollowBytesNotBatches) {
+  // The Tectorwise join build relieves spill pressure where its
+  // materialize pool would grow a chunk (and once more before the build
+  // takes its arena), so spill writes follow the bytes it stages, not the
+  // build-side batch count — at vector size 1 a batch is a single row.
+  SpillDir();
+  Session session(TpchDb());
+  size_t peak = 0;
+  const QueryResult expected =
+      Reference(session, Engine::kTectorwise, Query::kQ3, &peak);
+  ASSERT_TRUE(expected.ok());
+  constexpr size_t kChunkBytes = size_t{1} << 20;  // MemPool's default
+  constexpr size_t kThreads = 1;
+  for (size_t vector_size : {size_t{256}, size_t{1}}) {
+    SCOPED_TRACE("vector_size=" + std::to_string(vector_size));
+    QueryOptions opt;
+    opt.threads = kThreads;
+    opt.vector_size = vector_size;
+    opt.memory_budget = std::max<size_t>(1, peak / 4);
+    opt.spill = true;
+    opt.trace = runtime::TraceLevel::kSpans;
+    PreparedQuery q = session.Prepare(Engine::kTectorwise, Query::kQ3, opt);
+    const QueryResult got = q.Execute();
+    EXPECT_EQ(got, expected);
+    EXPECT_GT(got.spilled_bytes, 0u);
+    ASSERT_NE(got.trace, nullptr);
+
+    // Per join (a site with a build span): spill writes and their bytes.
+    std::map<uint32_t, std::pair<size_t, size_t>> writes;
+    for (const runtime::TraceSpan& span : got.trace->Spans()) {
+      if (span.name != "spill.write" ||
+          !got.trace->node_telemetry().HasSpan(span.site))
+        continue;
+      writes[span.site].first += 1;
+      writes[span.site].second += span.tuples;
+    }
+    EXPECT_FALSE(writes.empty());
+    for (const auto& [site, w] : writes) {
+      SCOPED_TRACE("site=" + std::to_string(site));
+      EXPECT_LE(w.first, w.second / kChunkBytes + kThreads);
     }
   }
 }

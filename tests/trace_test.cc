@@ -15,8 +15,10 @@
 #include "api/vcq.h"
 #include "datagen/ssb.h"
 #include "datagen/tpch.h"
+#include "runtime/block_cache.h"
 #include "runtime/metrics.h"
 #include "runtime/params.h"
+#include "runtime/resource_governor.h"
 #include "sql/sql.h"
 #include "tectorwise/plan.h"
 #include "tectorwise/queries.h"
@@ -509,6 +511,27 @@ TEST(MetricsTest, QueryExecutionFeedsTheRegistry) {
   const std::string snapshot = Session::MetricsSnapshot();
   EXPECT_NE(snapshot.find("vcq.session.queries_total"), std::string::npos);
   EXPECT_NE(snapshot.find("vcq.query.latency_us"), std::string::npos);
+}
+
+TEST(MetricsTest, CachedBytesGaugeReportsTheBlockCache) {
+  // A join query gives its hash tables back to the process-wide block
+  // cache; the vcq.memory.cached_bytes gauge reports what the cache holds,
+  // within the governor's high-water mark.
+  Session session(TpchDb());
+  QueryOptions opt;
+  opt.threads = 1;
+  ASSERT_TRUE(
+      session.Prepare(Engine::kTectorwise, Query::kQ3, opt).Execute().ok());
+  const std::string snapshot = Session::MetricsSnapshot();
+  EXPECT_NE(snapshot.find("vcq.memory.cached_bytes"), std::string::npos);
+  const runtime::BlockCache& cache = runtime::BlockCache::Global();
+  const runtime::ResourceGovernor& governor =
+      runtime::ResourceGovernor::Global();
+  const int64_t gauge =
+      metrics::Registry::Global().GetGauge("vcq.memory.cached_bytes").value();
+  EXPECT_EQ(gauge, static_cast<int64_t>(cache.cached_bytes()));
+  EXPECT_GT(gauge, 0);
+  EXPECT_LE(cache.cached_bytes() + governor.in_use(), governor.peak());
 }
 
 }  // namespace
