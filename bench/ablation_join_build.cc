@@ -2,8 +2,8 @@
 //   * build — runtime::JoinBuild (each worker copies its rows into its
 //     arena segment, then inserts them with directory prefetches) at 1
 //     and T threads, as ms and ns per build row;
-//   * probe staging — findCandidates vs the prefetch-staged
-//     JoinCandidatesStaged (relaxed operator fusion, paper §9.1);
+//   * probe — findCandidates + compareKeys + advance over random keys
+//     (~50% hits), as ms and ns per probe row;
 // swept over build-side cardinality (Fig. 9-style working-set axis). The
 // paper's Tab. 1/Fig. 4 finding is that exactly this path dominates the
 // join queries once the table leaves the caches.
@@ -104,19 +104,14 @@ struct Probe {
 
   /// Hashes one fresh batch and resolves it through the full candidate /
   /// compare / advance loop; returns the hit count (kept live).
-  size_t Batch(bool staged) {
+  size_t Batch() {
     for (size_t k = 0; k < kBatch; ++k) {
       keys[k] = static_cast<int64_t>(rng() % range);
       hashes[k] = runtime::HashMurmur2(static_cast<uint64_t>(keys[k]));
       pos[k] = static_cast<pos_t>(k);
     }
-    size_t m = staged
-                   ? tectorwise::JoinCandidatesStaged(
-                         kBatch, hashes.data(), pos.data(), ht, cand.data(),
-                         cand_pos.data())
-                   : tectorwise::JoinCandidates(kBatch, hashes.data(),
-                                                pos.data(), ht, cand.data(),
-                                                cand_pos.data());
+    size_t m = tectorwise::JoinCandidates(kBatch, hashes.data(), pos.data(),
+                                          ht, cand.data(), cand_pos.data());
     size_t hit_count = 0;
     while (m > 0) {
       tectorwise::CmpEntryKeyInit<int64_t>(m, cand.data(), cand_pos.data(),
@@ -144,14 +139,11 @@ struct Probe {
   std::vector<pos_t> hit_pos;
 };
 
-double MeasureProbe(Probe& probe, bool staged, size_t batches, int reps) {
+double MeasureProbe(Probe& probe, size_t batches, int reps) {
   volatile size_t sink = 0;
   return benchutil::Measure(
              [&] {
-               size_t total = 0;
-               for (size_t b = 0; b < batches; ++b)
-                 total += probe.Batch(staged);
-               sink = total;
+               for (size_t b = 0; b < batches; ++b) sink = sink + probe.Batch();
              },
              reps)
       .ms;
@@ -163,9 +155,10 @@ int main() {
   const int reps = benchutil::EnvReps(3);
   const size_t threads = benchutil::EnvThreads(0);
   benchutil::PrintHeader(
-      "Ablation: join build + prefetch-staged probes",
+      "Ablation: join build + probe over build cardinality",
       "join queries are bound by the hash-table memory path (Tab. 1, "
-      "Fig. 4); ROF prefetching hides it (Sec. 9.1)",
+      "Fig. 4); probe cost per row rises as the table leaves the caches "
+      "(Fig. 9)",
       "threads=" + std::to_string(threads) +
           "; build = per-worker arena copy + prefetched inserts "
           "(runtime::JoinBuild)");
@@ -176,7 +169,7 @@ int main() {
 
   benchutil::Table table({"entries", "ws_MB", "b1 ms", "b1 ns/row",
                           "bT ms", "bT ns/row", "bT spdup", "probe ms",
-                          "staged ms", "stage spdup"});
+                          "probe ns/row"});
   for (const size_t entries : entry_counts) {
     BuildInput input(entries, threads);
     const double b1 = MeasureBuild(input, 1, reps);
@@ -184,29 +177,27 @@ int main() {
 
     Probe probe(input, entries);
     const size_t batches = std::max<size_t>(1, entries / kBatch) * 4;
-    const double p_plain = MeasureProbe(probe, false, batches, reps);
-    const double p_staged = MeasureProbe(probe, true, batches, reps);
+    const double probe_ms = MeasureProbe(probe, batches, reps);
 
     const double ws_mb =
         static_cast<double>(probe.ht.capacity() * sizeof(void*) +
                             entries * sizeof(Entry)) /
         (1 << 20);
-    const auto ns_per_row = [entries](double ms) {
-      return ms * 1e6 / static_cast<double>(entries);
+    const auto ns_per_row = [](double ms, size_t rows) {
+      return benchutil::Fmt(ms * 1e6 / static_cast<double>(rows), 1);
     };
     table.AddRow({std::to_string(entries), benchutil::Fmt(ws_mb, 1),
-                  benchutil::Fmt(b1, 2), benchutil::Fmt(ns_per_row(b1), 1),
-                  benchutil::Fmt(bt, 2), benchutil::Fmt(ns_per_row(bt), 1),
-                  benchutil::Fmt(b1 / bt, 2), benchutil::Fmt(p_plain, 2),
-                  benchutil::Fmt(p_staged, 2),
-                  benchutil::Fmt(p_plain / p_staged, 2)});
+                  benchutil::Fmt(b1, 2), ns_per_row(b1, entries),
+                  benchutil::Fmt(bt, 2), ns_per_row(bt, entries),
+                  benchutil::Fmt(b1 / bt, 2), benchutil::Fmt(probe_ms, 2),
+                  ns_per_row(probe_ms, batches * kBatch)});
   }
   table.Print();
   std::printf(
       "\nexpected shape: build ns/row rises once the directory leaves the "
       "caches and falls with threads (disjoint arena segments, CAS inserts "
-      "into one directory); staged probes win once the working set "
-      "exceeds the LLC (prefetches hide the two dependent misses per "
-      "lookup).\n");
+      "into one directory); probe ns/row rises in steps as the working "
+      "set leaves L2 and then the LLC (two dependent misses per lookup: "
+      "directory word, then chain entry).\n");
   return 0;
 }

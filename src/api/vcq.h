@@ -120,14 +120,13 @@
 // and all three return to their baselines after every run. There is no
 // setting.
 //
-// Execution knobs: the engine-level strategies the paper's sections vary
-// — Tectorwise vector size (§4.1), SIMD primitives (§5), relaxed operator
-// fusion (§9.1, QueryOptions::rof) and micro-adaptive aggregation (§8.4)
-// — are static QueryOptions fields. The caller's setting is each knob's
-// only source: nothing changes it between executions, except the
-// degradation ladder's explicit rungs above. Every setting produces
-// byte-identical results (tests/join_path_test.cc and
-// tests/tpch_queries_test.cc sweep ROF x engine x threads and vector
+// Execution knobs: three engine-level strategies the paper's sections vary
+// — Tectorwise vector size (§4.1), SIMD primitives (§5) and micro-adaptive
+// aggregation (§8.4) — are static QueryOptions fields. The caller's
+// setting is each knob's only source: nothing changes it between
+// executions, except the degradation ladder's explicit rungs above. Every
+// setting produces byte-identical results (tests/join_path_test.cc and
+// tests/tpch_queries_test.cc sweep engine x threads x SIMD and vector
 // size); the knobs change speed, never answers. Batch compaction is not a
 // knob: Tectorwise always merges sparse batches at its Select, hash-join
 // probe and group-by input (tectorwise/compaction.h).

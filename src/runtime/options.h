@@ -90,15 +90,6 @@ struct QueryOptions {
   /// is small; falls back to hash aggregation otherwise. Tectorwise Q1
   /// only.
   bool adaptive = false;
-  /// Relaxed operator fusion (paper §9.1, Peloton's hybrid). Typer: every
-  /// join query's probe pipeline is split at a block boundary of
-  /// typer::kRofBlock tuples (see typer::JoinTable::StagedLookup) — stage
-  /// 1 hashes a block and prefetches the directory words, stage 2
-  /// prefetches the chain heads, stage 3 resolves with the latency hidden.
-  /// Tectorwise: findCandidates switches to the prefetch-staged variant
-  /// (JoinCandidatesStaged), which plays the same trick inside each
-  /// vector, at every hash-join node of the plan.
-  bool rof = false;
   /// Requested trace level. vcq::Session honors it by allocating a
   /// QueryTrace per execution (stamped into QueryResult::trace on
   /// success and failure); standalone engine calls must also set

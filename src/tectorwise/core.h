@@ -47,9 +47,6 @@ inline const T* Get(const Slot* slot) {
 struct ExecContext {
   size_t vector_size = kDefaultVectorSize;
   bool use_simd = false;
-  /// Relaxed operator fusion (paper §9.1): HashJoin probes use the
-  /// prefetch-staged findCandidates variant (JoinCandidatesStaged).
-  bool rof = false;
   /// Cooperative cancellation/deadline token, polled at morsel boundaries
   /// by Scan (every pipeline bottoms out at one, so an interrupted run
   /// drains with barriers balanced; see runtime/cancel.h). nullptr = not

@@ -146,18 +146,10 @@ size_t HashJoin::Next() {
     probe_hash_(n, probe_->sel(), hashes, pos);
     for (const RehashStep& step : probe_rehash_) step(n, pos, hashes);
 
-    if (use_simd) {
-      cand_rem_ = ctx_.rof
-                      ? simd::JoinCandidatesStaged(n, hashes, pos,
-                                                   shared_->ht, cand, cand_pos)
-                      : simd::JoinCandidates(n, hashes, pos, shared_->ht, cand,
-                                             cand_pos);
-    } else {
-      cand_rem_ = ctx_.rof ? JoinCandidatesStaged(n, hashes, pos, shared_->ht,
-                                                  cand, cand_pos)
-                           : JoinCandidates(n, hashes, pos, shared_->ht, cand,
-                                            cand_pos);
-    }
+    cand_rem_ = use_simd ? simd::JoinCandidates(n, hashes, pos, shared_->ht,
+                                                cand, cand_pos)
+                         : JoinCandidates(n, hashes, pos, shared_->ht, cand,
+                                          cand_pos);
   }
 }
 

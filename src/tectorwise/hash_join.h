@@ -29,10 +29,9 @@ namespace vcq::tectorwise {
 /// insert them (paper §6.1's shared-state + barrier scheme). The worker's
 /// materialize pool is freed right after.
 ///
-/// Probe: hash primitives -> findCandidates (Bloom-tagged directory;
-/// prefetch-staged variant under ctx.rof, paper §9.1) -> compareKeys
-/// primitives (one per key column) -> extractHits/advance loop ->
-/// buildGather + probe-side gathers into dense output vectors.
+/// Probe: hash primitives -> findCandidates (Bloom-tagged directory) ->
+/// compareKeys primitives (one per key column) -> extractHits/advance loop
+/// -> buildGather + probe-side gathers into dense output vectors.
 ///
 /// The probe output is a compaction point (compaction.h): a round whose
 /// hits are sparse (below kCompactionThreshold of vector_size) is not

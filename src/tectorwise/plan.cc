@@ -14,7 +14,6 @@ ExecContext MakeContext(const runtime::QueryOptions& opt) {
   ExecContext ctx;
   ctx.vector_size = opt.vector_size;
   ctx.use_simd = opt.simd;
-  ctx.rof = opt.rof;
   ctx.cancel = opt.cancel;
   ctx.ledger = opt.ledger;
   ctx.fault = opt.fault;

@@ -348,38 +348,6 @@ inline size_t JoinCandidates(size_t n, const uint64_t* hashes,
   return m;
 }
 
-/// Staging shell shared by the scalar and AVX-512 ROF findCandidates
-/// variants (relaxed operator fusion, paper §9.1): pass 1 issues
-/// independent prefetches for every directory word of the vector, pass 2
-/// resolves chain heads via `find` against the now-cached directory, and
-/// pass 3 prefetches each surviving candidate entry, so the key-compare
-/// primitives that follow find the entry rows in cache instead of taking
-/// the chaining table's two dependent misses per probe. Output is
-/// bit-identical to the wrapped findCandidates.
-template <typename FindFn>
-size_t StagedCandidates(size_t n, const uint64_t* hashes, const pos_t* pos,
-                        const Hashmap& ht, Hashmap::EntryHeader** cand,
-                        pos_t* cand_pos, FindFn&& find) {
-  const std::atomic<uintptr_t>* dir = ht.buckets();
-  for (size_t k = 0; k < n; ++k)
-    __builtin_prefetch(dir + ht.BucketOf(hashes[k]), 0, 1);
-  const size_t m = find(n, hashes, pos, ht, cand, cand_pos);
-  for (size_t j = 0; j < m; ++j) __builtin_prefetch(cand[j], 0, 1);
-  return m;
-}
-
-/// Prefetch-staged findCandidates, scalar resolve.
-inline size_t JoinCandidatesStaged(size_t n, const uint64_t* hashes,
-                                   const pos_t* pos, const Hashmap& ht,
-                                   Hashmap::EntryHeader** cand,
-                                   pos_t* cand_pos) {
-  return StagedCandidates(n, hashes, pos, ht, cand, cand_pos,
-                          [](auto&&... args) {
-                            return JoinCandidates(
-                                std::forward<decltype(args)>(args)...);
-                          });
-}
-
 /// compareKeys, first key column: match[k] = (entry key == probe key).
 template <typename T>
 void CmpEntryKeyInit(size_t n, Hashmap::EntryHeader* const* cand,

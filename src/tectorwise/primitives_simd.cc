@@ -531,15 +531,4 @@ VCQ_AVX512 size_t JoinCandidates(size_t n, const uint64_t* hashes,
   return m;
 }
 
-size_t JoinCandidatesStaged(size_t n, const uint64_t* hashes,
-                            const pos_t* pos, const runtime::Hashmap& ht,
-                            runtime::Hashmap::EntryHeader** cand,
-                            pos_t* cand_pos) {
-  return StagedCandidates(n, hashes, pos, ht, cand, cand_pos,
-                          [](auto&&... args) {
-                            return JoinCandidates(
-                                std::forward<decltype(args)>(args)...);
-                          });
-}
-
 }  // namespace vcq::tectorwise::simd

@@ -83,15 +83,6 @@ size_t JoinCandidates(size_t n, const uint64_t* hashes, const pos_t* pos,
                       const runtime::Hashmap& ht,
                       runtime::Hashmap::EntryHeader** cand, pos_t* cand_pos);
 
-/// Prefetch-staged findCandidates (relaxed operator fusion, paper §9.1):
-/// prefetches the directory words, runs the SIMD gather loop against the
-/// now-cached directory, then prefetches the candidate entries for the
-/// key-compare primitives that follow. Output identical to JoinCandidates.
-size_t JoinCandidatesStaged(size_t n, const uint64_t* hashes,
-                            const pos_t* pos, const runtime::Hashmap& ht,
-                            runtime::Hashmap::EntryHeader** cand,
-                            pos_t* cand_pos);
-
 }  // namespace vcq::tectorwise::simd
 
 #endif  // VCQ_TECTORWISE_PRIMITIVES_SIMD_H_

@@ -15,12 +15,6 @@
 
 namespace vcq::typer {
 
-/// Block size in tuples for relaxed-operator-fusion staged probes (paper
-/// §9.1, QueryOptions::rof): large enough that the block's independent
-/// prefetches cover DRAM latency, small enough that the staged hash
-/// buffers stay L1-resident.
-inline constexpr size_t kRofBlock = 512;
-
 /// Shared join hash table for Typer pipelines: a morsel-parallel producer
 /// materializes entries into worker-local chunk arenas, then hands them to
 /// the shared runtime::JoinBuild — the same build protocol the Tectorwise
@@ -92,7 +86,8 @@ class JoinTable {
     });
   }
 
-  /// Primary-key lookup: first entry with matching hash passing `eq`.
+  /// Primary-key lookup: first entry with matching hash passing `eq`. Every
+  /// Typer probe is this call, inside its pipeline's one fused loop.
   template <typename EqFn>
   const Entry* Lookup(uint64_t hash, EqFn&& eq) const {
     for (auto* e = ht.FindChainTagged(hash); e != nullptr; e = e->next) {
@@ -101,50 +96,6 @@ class JoinTable {
     }
     return nullptr;
   }
-
-  /// Staged (ROF) probe state for this table (paper §9.1): the fused probe
-  /// loop is split at a kRofBlock boundary. Stage 1 (Hash) computes the
-  /// block's hashes and prefetches their directory words; stage 2
-  /// (PrefetchEntries) resolves the chain heads from the now-cached
-  /// directory and prefetches the entry nodes — the second dependent miss
-  /// of a chaining table; stage 3 (Lookup) resolves a block behind, with
-  /// the latency already hidden. One StagedLookup per join table in the
-  /// pipeline; this is what generalizes the former Typer-Q9-only ROF
-  /// special case to every join query.
-  class StagedLookup {
-   public:
-    explicit StagedLookup(const JoinTable& table) : table_(table) {}
-
-    /// Stage 1: hashes_[k] = hash_of(k) for k in [0, n); n <= kRofBlock.
-    template <typename HashFn>
-    void Hash(size_t n, HashFn&& hash_of) {
-      const runtime::Hashmap& ht = table_.ht;
-      for (size_t k = 0; k < n; ++k) {
-        hashes_[k] = hash_of(k);
-        __builtin_prefetch(ht.buckets() + ht.BucketOf(hashes_[k]), 0, 1);
-      }
-    }
-
-    /// Stage 2: prefetches the surviving chain heads.
-    void PrefetchEntries(size_t n) const {
-      for (size_t k = 0; k < n; ++k) {
-        if (auto* e = table_.ht.FindChainTagged(hashes_[k]))
-          __builtin_prefetch(e, 0, 1);
-      }
-    }
-
-    uint64_t hash(size_t k) const { return hashes_[k]; }
-
-    /// Stage 3: the standard Lookup with the staged hash.
-    template <typename EqFn>
-    const Entry* Lookup(size_t k, EqFn&& eq) const {
-      return table_.Lookup(hashes_[k], std::forward<EqFn>(eq));
-    }
-
-   private:
-    const JoinTable& table_;
-    uint64_t hashes_[kRofBlock];
-  };
 
   size_t size() const { return build_.entry_count(); }
 

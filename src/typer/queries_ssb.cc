@@ -10,7 +10,7 @@
 #include "typer/group_table.h"
 #include "typer/join_table.h"
 #include "typer/queries.h"
-#include "typer/rof.h"
+#include "typer/selection.h"
 
 // Star Schema Benchmark pipelines for Typer (paper §4.4): one fused probe
 // loop over lineorder against filtered dimension hash tables. Column
@@ -121,31 +121,26 @@ QueryResult RunSsbQ11(const Database& db, const QueryOptions& opt,
   MorselQueue morsels(lo_orderdate.size(), opt.morsel_grain);
   PoolFor(opt).Run(opt, morsels.total(), [&](size_t) {
     int64_t local = 0;
-    auto resolve = [&](size_t i, uint64_t dh) {
-      const int32_t dk = lo_orderdate[i];
-      if (ht_date.Lookup(dh, [&](const KeyOnly& e) { return e.key == dk; }) ==
-          nullptr) {
-        return;
-      }
-      local += lo_extprice[i] * lo_discount[i];
-    };
-    auto pass = [&](size_t i) {
-      return lo_discount[i] >= disc_lo && lo_discount[i] <= disc_hi &&
-             lo_quantity[i] < qty_max;
-    };
     size_t begin, end;
     while (!Stop(opt) && morsels.Next(begin, end)) {
-      if (opt.rof) {
-        StagedProbe date_probe(ht_date, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
-        });
-        StagedProbeLoop(begin, end, pass, resolve, date_probe);
-      } else {
-        for (size_t i = begin; i < end; ++i) {
-          if (!pass(i)) continue;
-          resolve(i, HashCrc32(static_cast<uint32_t>(lo_orderdate[i])));
-        }
-      }
+      // The default bindings keep about 13% of lineorder, where a branch on
+      // the filter mispredicts often, so it runs as a branch-free selection
+      // stage ahead of the date probe.
+      ForEachSelected(
+          begin, end,
+          [&](size_t i) {
+            return (lo_discount[i] >= disc_lo) & (lo_discount[i] <= disc_hi) &
+                   (lo_quantity[i] < qty_max);
+          },
+          [&](size_t i) {
+            const int32_t dk = lo_orderdate[i];
+            if (ht_date.Lookup(HashCrc32(static_cast<uint32_t>(dk)),
+                               [&](const KeyOnly& e) { return e.key == dk; }) ==
+                nullptr) {
+              return;
+            }
+            local += lo_extprice[i] * lo_discount[i];
+          });
     }
     std::lock_guard<std::mutex> lock(mu);
     total += local;
@@ -247,67 +242,40 @@ QueryResult RunSsbQ21(const Database& db, const QueryOptions& opt,
   PoolFor(opt).Run(opt, morsels.total(), [&](size_t wid) {
     locals[wid] = std::make_unique<LocalGroupTable<Q21Group>>(opt);
     LocalGroupTable<Q21Group>& local = *locals[wid];
-    auto resolve = [&](size_t i, auto&& ph, auto&& sh, auto&& dh) {
-      const int32_t pk = lo_partkey[i];
-      const BrandEntry* p = ht_part.Lookup(
-          ph(), [&](const BrandEntry& e) { return e.partkey == pk; });
-      if (p == nullptr) return;
-      const int32_t sk = lo_suppkey[i];
-      if (ht_supp.Lookup(sh(), [&](const KeyOnly& e) {
-            return e.key == sk;
-          }) == nullptr) {
-        return;
-      }
-      const int32_t dk = lo_orderdate[i];
-      const DateEntry* d = ht_date.Lookup(
-          dh(), [&](const DateEntry& e) { return e.datekey == dk; });
-      const int32_t year = d->year;
-      const Char<9> brand = p->brand;
-      const uint64_t gh = HashCrc32(
-          static_cast<uint64_t>(static_cast<uint32_t>(year)) ^
-          (runtime::HashBytes(brand.data, 9) << 1));
-      Q21Group* g = local.FindOrCreate(
-          gh,
-          [&](const Q21Group& e) {
-            return e.year == year && e.brand == brand;
-          },
-          [&](Q21Group* e) {
-            e->year = year;
-            e->brand = brand;
-            e->revenue = 0;
-          });
-      g->revenue += lo_revenue[i];
-    };
     size_t begin, end;
     while (!Stop(opt) && morsels.Next(begin, end)) {
-      if (opt.rof) {
-        StagedProbe part_probe(ht_part, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_partkey[i]));
-        });
-        StagedProbe supp_probe(ht_supp, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_suppkey[i]));
-        });
-        StagedProbe date_probe(ht_date, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
-        });
-        StagedProbeLoop(
-            begin, end, kRofAll,
-            [&](size_t i, uint64_t ph, uint64_t sh, uint64_t dh) {
-              resolve(
-                  i, [&] { return ph; }, [&] { return sh; },
-                  [&] { return dh; });
-            },
-            part_probe, supp_probe, date_probe);
-      } else {
-        for (size_t i = begin; i < end; ++i) {
-          resolve(
-              i,
-              [&] { return HashCrc32(static_cast<uint32_t>(lo_partkey[i])); },
-              [&] { return HashCrc32(static_cast<uint32_t>(lo_suppkey[i])); },
-              [&] {
-                return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
-              });
+      for (size_t i = begin; i < end; ++i) {
+        const int32_t pk = lo_partkey[i];
+        const BrandEntry* p = ht_part.Lookup(
+            HashCrc32(static_cast<uint32_t>(pk)),
+            [&](const BrandEntry& e) { return e.partkey == pk; });
+        if (p == nullptr) continue;
+        const int32_t sk = lo_suppkey[i];
+        if (ht_supp.Lookup(HashCrc32(static_cast<uint32_t>(sk)),
+                           [&](const KeyOnly& e) { return e.key == sk; }) ==
+            nullptr) {
+          continue;
         }
+        const int32_t dk = lo_orderdate[i];
+        const DateEntry* d = ht_date.Lookup(
+            HashCrc32(static_cast<uint32_t>(dk)),
+            [&](const DateEntry& e) { return e.datekey == dk; });
+        const int32_t year = d->year;
+        const Char<9> brand = p->brand;
+        const uint64_t gh = HashCrc32(
+            static_cast<uint64_t>(static_cast<uint32_t>(year)) ^
+            (runtime::HashBytes(brand.data, 9) << 1));
+        Q21Group* g = local.FindOrCreate(
+            gh,
+            [&](const Q21Group& e) {
+              return e.year == year && e.brand == brand;
+            },
+            [&](Q21Group* e) {
+              e->year = year;
+              e->brand = brand;
+              e->revenue = 0;
+            });
+        g->revenue += lo_revenue[i];
       }
     }
   });
@@ -419,67 +387,41 @@ QueryResult RunSsbQ31(const Database& db, const QueryOptions& opt,
   PoolFor(opt).Run(opt, morsels.total(), [&](size_t wid) {
     locals[wid] = std::make_unique<LocalGroupTable<Q31Group>>(opt);
     LocalGroupTable<Q31Group>& local = *locals[wid];
-    auto resolve = [&](size_t i, auto&& ch, auto&& sh, auto&& dh) {
-      const int32_t ck = lo_custkey[i];
-      const KeyNation* c = ht_cust.Lookup(
-          ch(), [&](const KeyNation& e) { return e.key == ck; });
-      if (c == nullptr) return;
-      const int32_t sk = lo_suppkey[i];
-      const KeyNation* s = ht_supp.Lookup(
-          sh(), [&](const KeyNation& e) { return e.key == sk; });
-      if (s == nullptr) return;
-      const int32_t dk = lo_orderdate[i];
-      const DateEntry* d = ht_date.Lookup(
-          dh(), [&](const DateEntry& e) { return e.datekey == dk; });
-      if (d == nullptr) return;
-      const uint64_t gh = HashCrc32(
-          runtime::HashBytes(c->nation.data, 15) ^
-          (runtime::HashBytes(s->nation.data, 15) << 1) ^
-          static_cast<uint32_t>(d->year));
-      Q31Group* g = local.FindOrCreate(
-          gh,
-          [&](const Q31Group& e) {
-            return e.year == d->year && e.c_nation == c->nation &&
-                   e.s_nation == s->nation;
-          },
-          [&](Q31Group* e) {
-            e->c_nation = c->nation;
-            e->s_nation = s->nation;
-            e->year = d->year;
-            e->revenue = 0;
-          });
-      g->revenue += lo_revenue[i];
-    };
     size_t begin, end;
     while (!Stop(opt) && morsels.Next(begin, end)) {
-      if (opt.rof) {
-        StagedProbe cust_probe(ht_cust, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_custkey[i]));
-        });
-        StagedProbe supp_probe(ht_supp, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_suppkey[i]));
-        });
-        StagedProbe date_probe(ht_date, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
-        });
-        StagedProbeLoop(
-            begin, end, kRofAll,
-            [&](size_t i, uint64_t ch, uint64_t sh, uint64_t dh) {
-              resolve(
-                  i, [&] { return ch; }, [&] { return sh; },
-                  [&] { return dh; });
+      for (size_t i = begin; i < end; ++i) {
+        const int32_t ck = lo_custkey[i];
+        const KeyNation* c = ht_cust.Lookup(
+            HashCrc32(static_cast<uint32_t>(ck)),
+            [&](const KeyNation& e) { return e.key == ck; });
+        if (c == nullptr) continue;
+        const int32_t sk = lo_suppkey[i];
+        const KeyNation* s = ht_supp.Lookup(
+            HashCrc32(static_cast<uint32_t>(sk)),
+            [&](const KeyNation& e) { return e.key == sk; });
+        if (s == nullptr) continue;
+        const int32_t dk = lo_orderdate[i];
+        const DateEntry* d = ht_date.Lookup(
+            HashCrc32(static_cast<uint32_t>(dk)),
+            [&](const DateEntry& e) { return e.datekey == dk; });
+        if (d == nullptr) continue;
+        const uint64_t gh = HashCrc32(
+            runtime::HashBytes(c->nation.data, 15) ^
+            (runtime::HashBytes(s->nation.data, 15) << 1) ^
+            static_cast<uint32_t>(d->year));
+        Q31Group* g = local.FindOrCreate(
+            gh,
+            [&](const Q31Group& e) {
+              return e.year == d->year && e.c_nation == c->nation &&
+                     e.s_nation == s->nation;
             },
-            cust_probe, supp_probe, date_probe);
-      } else {
-        for (size_t i = begin; i < end; ++i) {
-          resolve(
-              i,
-              [&] { return HashCrc32(static_cast<uint32_t>(lo_custkey[i])); },
-              [&] { return HashCrc32(static_cast<uint32_t>(lo_suppkey[i])); },
-              [&] {
-                return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
-              });
-        }
+            [&](Q31Group* e) {
+              e->c_nation = c->nation;
+              e->s_nation = s->nation;
+              e->year = d->year;
+              e->revenue = 0;
+            });
+        g->revenue += lo_revenue[i];
       }
     }
   });
@@ -610,78 +552,45 @@ QueryResult RunSsbQ41(const Database& db, const QueryOptions& opt,
   PoolFor(opt).Run(opt, morsels.total(), [&](size_t wid) {
     locals[wid] = std::make_unique<LocalGroupTable<Q41Group>>(opt);
     LocalGroupTable<Q41Group>& local = *locals[wid];
-    auto resolve = [&](size_t i, auto&& ch, auto&& sh, auto&& ph,
-                       auto&& dh) {
-      const int32_t ck = lo_custkey[i];
-      const KeyNation* c = ht_cust.Lookup(
-          ch(), [&](const KeyNation& e) { return e.key == ck; });
-      if (c == nullptr) return;
-      const int32_t sk = lo_suppkey[i];
-      if (ht_supp.Lookup(sh(), [&](const KeyOnly& e) {
-            return e.key == sk;
-          }) == nullptr) {
-        return;
-      }
-      const int32_t pk = lo_partkey[i];
-      if (ht_part.Lookup(ph(), [&](const KeyOnly& e) {
-            return e.key == pk;
-          }) == nullptr) {
-        return;
-      }
-      const int32_t dk = lo_orderdate[i];
-      const DateEntry* d = ht_date.Lookup(
-          dh(), [&](const DateEntry& e) { return e.datekey == dk; });
-      const int64_t profit = lo_revenue[i] - lo_supplycost[i];
-      const uint64_t gh = HashCrc32(
-          runtime::HashBytes(c->nation.data, 15) ^
-          static_cast<uint32_t>(d->year));
-      Q41Group* g = local.FindOrCreate(
-          gh,
-          [&](const Q41Group& e) {
-            return e.year == d->year && e.c_nation == c->nation;
-          },
-          [&](Q41Group* e) {
-            e->year = d->year;
-            e->c_nation = c->nation;
-            e->profit = 0;
-          });
-      g->profit += profit;
-    };
     size_t begin, end;
     while (!Stop(opt) && morsels.Next(begin, end)) {
-      if (opt.rof) {
-        StagedProbe cust_probe(ht_cust, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_custkey[i]));
-        });
-        StagedProbe supp_probe(ht_supp, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_suppkey[i]));
-        });
-        StagedProbe part_probe(ht_part, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_partkey[i]));
-        });
-        StagedProbe date_probe(ht_date, [&](size_t i) {
-          return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
-        });
-        StagedProbeLoop(
-            begin, end, kRofAll,
-            [&](size_t i, uint64_t ch, uint64_t sh, uint64_t ph,
-                uint64_t dh) {
-              resolve(
-                  i, [&] { return ch; }, [&] { return sh; },
-                  [&] { return ph; }, [&] { return dh; });
-            },
-            cust_probe, supp_probe, part_probe, date_probe);
-      } else {
-        for (size_t i = begin; i < end; ++i) {
-          resolve(
-              i,
-              [&] { return HashCrc32(static_cast<uint32_t>(lo_custkey[i])); },
-              [&] { return HashCrc32(static_cast<uint32_t>(lo_suppkey[i])); },
-              [&] { return HashCrc32(static_cast<uint32_t>(lo_partkey[i])); },
-              [&] {
-                return HashCrc32(static_cast<uint32_t>(lo_orderdate[i]));
-              });
+      for (size_t i = begin; i < end; ++i) {
+        const int32_t ck = lo_custkey[i];
+        const KeyNation* c = ht_cust.Lookup(
+            HashCrc32(static_cast<uint32_t>(ck)),
+            [&](const KeyNation& e) { return e.key == ck; });
+        if (c == nullptr) continue;
+        const int32_t sk = lo_suppkey[i];
+        if (ht_supp.Lookup(HashCrc32(static_cast<uint32_t>(sk)),
+                           [&](const KeyOnly& e) { return e.key == sk; }) ==
+            nullptr) {
+          continue;
         }
+        const int32_t pk = lo_partkey[i];
+        if (ht_part.Lookup(HashCrc32(static_cast<uint32_t>(pk)),
+                           [&](const KeyOnly& e) { return e.key == pk; }) ==
+            nullptr) {
+          continue;
+        }
+        const int32_t dk = lo_orderdate[i];
+        const DateEntry* d = ht_date.Lookup(
+            HashCrc32(static_cast<uint32_t>(dk)),
+            [&](const DateEntry& e) { return e.datekey == dk; });
+        const int64_t profit = lo_revenue[i] - lo_supplycost[i];
+        const uint64_t gh = HashCrc32(
+            runtime::HashBytes(c->nation.data, 15) ^
+            static_cast<uint32_t>(d->year));
+        Q41Group* g = local.FindOrCreate(
+            gh,
+            [&](const Q41Group& e) {
+              return e.year == d->year && e.c_nation == c->nation;
+            },
+            [&](Q41Group* e) {
+              e->year = d->year;
+              e->c_nation = c->nation;
+              e->profit = 0;
+            });
+        g->profit += profit;
       }
     }
   });

@@ -11,11 +11,13 @@
 #include "typer/group_table.h"
 #include "typer/join_table.h"
 #include "typer/queries.h"
-#include "typer/rof.h"
+#include "typer/selection.h"
 
 // TPC-H pipelines for the Typer engine. Every pipeline is one fused loop
 // (scan + select + arithmetic + probe + aggregate), the code shape that
-// data-centric produce/consume generation emits (paper Fig. 2a). Typer uses
+// data-centric produce/consume generation emits (paper Fig. 2a); where a
+// scan predicate precedes a probe (Q3, and SSB-Q1.1), the select runs first
+// as a branch-free stage over a block of rows (typer/selection.h). Typer uses
 // the low-latency CRC hash (paper §4.1: "the CRC hash function improves
 // [Typer's] performance up to 40%"). Predicate constants are parameters
 // (vcq::QueryCatalog declares names and spec defaults), read once at the
@@ -319,10 +321,10 @@ QueryResult RunQ3(const Database& db, const QueryOptions& opt,
     }, o_orderkey.size());
   }
 
-  // Pipeline 3: probe with lineitem, aggregate revenue per order. Under
-  // opt.rof the loop runs block-staged (paper §9.1): qualifying tuples are
-  // gathered per block, the orders-table hashes staged with prefetches,
-  // and the probes resolved a block behind with the latency hidden.
+  // Pipeline 3: probe with lineitem, aggregate revenue per order. The
+  // shipdate predicate runs as a branch-free selection stage ahead of the
+  // orders probe (ForEachSelected); the probe and the aggregate update stay
+  // fused over the survivors.
   const auto& l_orderkey = cols.l_orderkey;
   const auto& l_shipdate = cols.l_shipdate;
   const auto& l_extprice = cols.l_extprice;
@@ -333,36 +335,26 @@ QueryResult RunQ3(const Database& db, const QueryOptions& opt,
     PoolFor(opt).Run(opt, morsels.total(), [&](size_t wid) {
       locals[wid] = std::make_unique<LocalGroupTable<Q3Group>>(opt);
       LocalGroupTable<Q3Group>& local = *locals[wid];
-      auto resolve = [&](size_t i, uint64_t h) {
-        const int32_t ok = l_orderkey[i];
-        const Q3Order* o = ht_ord.Lookup(
-            h, [&](const Q3Order& e) { return e.orderkey == ok; });
-        if (o == nullptr) return;
-        Q3Group* g = local.FindOrCreate(
-            h, [&](const Q3Group& e) { return e.orderkey == ok; },
-            [&](Q3Group* e) {
-              e->orderkey = o->orderkey;
-              e->orderdate = o->orderdate;
-              e->shippriority = o->shippriority;
-              e->revenue = 0;
-            });
-        g->revenue += l_extprice[i] * (100 - l_discount[i]);
-      };
       size_t begin, end;
       while (!Stop(opt) && morsels.Next(begin, end)) {
-        if (opt.rof) {
-          StagedProbe ord(ht_ord, [&](size_t i) {
-            return HashCrc32(static_cast<uint32_t>(l_orderkey[i]));
-          });
-          StagedProbeLoop(
-              begin, end,
-              [&](size_t i) { return l_shipdate[i] > date; }, resolve, ord);
-        } else {
-          for (size_t i = begin; i < end; ++i) {
-            if (l_shipdate[i] <= date) continue;
-            resolve(i, HashCrc32(static_cast<uint32_t>(l_orderkey[i])));
-          }
-        }
+        ForEachSelected(
+            begin, end, [&](size_t i) { return l_shipdate[i] > date; },
+            [&](size_t i) {
+              const int32_t ok = l_orderkey[i];
+              const uint64_t h = HashCrc32(static_cast<uint32_t>(ok));
+              const Q3Order* o = ht_ord.Lookup(
+                  h, [&](const Q3Order& e) { return e.orderkey == ok; });
+              if (o == nullptr) return;
+              Q3Group* g = local.FindOrCreate(
+                  h, [&](const Q3Group& e) { return e.orderkey == ok; },
+                  [&](Q3Group* e) {
+                    e->orderkey = o->orderkey;
+                    e->orderdate = o->orderdate;
+                    e->shippriority = o->shippriority;
+                    e->revenue = 0;
+                  });
+              g->revenue += l_extprice[i] * (100 - l_discount[i]);
+            });
       }
     });
   }
@@ -566,73 +558,36 @@ QueryResult RunQ9(const Database& db, const QueryOptions& opt,
     PoolFor(opt).Run(opt, morsels.total(), [&](size_t wid) {
       locals[wid] = std::make_unique<LocalGroupTable<Q9Group>>(opt);
       LocalGroupTable<Q9Group>& local = *locals[wid];
-      // One resolve body for both paths; the hash providers keep the fused
-      // path lazy (hashes after the partsupp hit) while the ROF path reads
-      // the staged buffers.
-      auto resolve = [&](size_t i, auto&& ps_h, auto&& supp_h,
-                         auto&& ord_h) {
-        const uint64_t pskey = PackPartSupp(l_partkey[i], l_suppkey[i]);
-        const Q9PartSupp* ps =
-            ht_ps.Lookup(ps_h(), [&](const Q9PartSupp& e) {
-              return PackPartSupp(e.partkey, e.suppkey) == pskey;
-            });
-        if (ps == nullptr) return;
-        const int32_t sk = l_suppkey[i];
-        const Q9Supp* s = ht_supp.Lookup(
-            supp_h(), [&](const Q9Supp& e) { return e.suppkey == sk; });
-        const int32_t ok = l_orderkey[i];
-        const Q9Order* o = ht_ord.Lookup(
-            ord_h(), [&](const Q9Order& e) { return e.orderkey == ok; });
-        const int64_t amount = l_extprice[i] * (100 - l_discount[i]) -
-                               ps->supplycost * l_quantity[i];
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>(s->nationkey))
-             << 32) |
-            static_cast<uint32_t>(o->year);
-        Q9Group* g = local.FindOrCreate(
-            HashCrc32(key), [&](const Q9Group& e) { return e.key == key; },
-            [&](Q9Group* e) {
-              e->key = key;
-              e->profit = 0;
-            });
-        g->profit += amount;
-      };
       size_t begin, end;
       while (!Stop(opt) && morsels.Next(begin, end)) {
-        if (opt.rof) {
-          // Relaxed operator fusion (paper §9.1): the fused loop is split
-          // at block boundaries; all three probe tables are staged (the
-          // orders directory — 1.5M entries per SF — is the memory-bound
-          // one, and the partsupp/supplier stages ride along for free).
-          StagedProbe ps(ht_ps, [&](size_t i) {
-            return HashCrc32(PackPartSupp(l_partkey[i], l_suppkey[i]));
-          });
-          StagedProbe supp(ht_supp, [&](size_t i) {
-            return HashCrc32(static_cast<uint32_t>(l_suppkey[i]));
-          });
-          StagedProbe ord(ht_ord, [&](size_t i) {
-            return HashCrc32(static_cast<uint32_t>(l_orderkey[i]));
-          });
-          StagedProbeLoop(
-              begin, end, kRofAll,
-              [&](size_t i, uint64_t ps_h, uint64_t supp_h, uint64_t ord_h) {
-                resolve(
-                    i, [&] { return ps_h; }, [&] { return supp_h; },
-                    [&] { return ord_h; });
-              },
-              ps, supp, ord);
-        } else {
-          for (size_t i = begin; i < end; ++i) {
-            resolve(
-                i,
-                [&] {
-                  return HashCrc32(PackPartSupp(l_partkey[i], l_suppkey[i]));
-                },
-                [&] { return HashCrc32(static_cast<uint32_t>(l_suppkey[i])); },
-                [&] {
-                  return HashCrc32(static_cast<uint32_t>(l_orderkey[i]));
-                });
-          }
+        for (size_t i = begin; i < end; ++i) {
+          const uint64_t pskey = PackPartSupp(l_partkey[i], l_suppkey[i]);
+          const Q9PartSupp* ps =
+              ht_ps.Lookup(HashCrc32(pskey), [&](const Q9PartSupp& e) {
+                return PackPartSupp(e.partkey, e.suppkey) == pskey;
+              });
+          if (ps == nullptr) continue;
+          const int32_t sk = l_suppkey[i];
+          const Q9Supp* s =
+              ht_supp.Lookup(HashCrc32(static_cast<uint32_t>(sk)),
+                             [&](const Q9Supp& e) { return e.suppkey == sk; });
+          const int32_t ok = l_orderkey[i];
+          const Q9Order* o = ht_ord.Lookup(
+              HashCrc32(static_cast<uint32_t>(ok)),
+              [&](const Q9Order& e) { return e.orderkey == ok; });
+          const int64_t amount = l_extprice[i] * (100 - l_discount[i]) -
+                                 ps->supplycost * l_quantity[i];
+          const uint64_t key =
+              (static_cast<uint64_t>(static_cast<uint32_t>(s->nationkey))
+               << 32) |
+              static_cast<uint32_t>(o->year);
+          Q9Group* g = local.FindOrCreate(
+              HashCrc32(key), [&](const Q9Group& e) { return e.key == key; },
+              [&](Q9Group* e) {
+                e->key = key;
+                e->profit = 0;
+              });
+          g->profit += amount;
         }
       }
     });
@@ -807,40 +762,20 @@ QueryResult RunQ18(const Database& db, const QueryOptions& opt,
     MorselQueue morsels(o_orderkey.size(), opt.morsel_grain);
     PoolFor(opt).Run(opt, morsels.total(), [&](size_t) {
       std::vector<Row> local;
-      auto resolve = [&](size_t i, auto&& big_h, auto&& cust_h) {
-        const int32_t ok = o_orderkey[i];
-        const Q18Order* b = ht_big.Lookup(
-            big_h(), [&](const Q18Order& e) { return e.orderkey == ok; });
-        if (b == nullptr) return;
-        const int32_t ck = o_custkey[i];
-        const Q18Cust* c = ht_cust.Lookup(
-            cust_h(), [&](const Q18Cust& e) { return e.custkey == ck; });
-        local.push_back(Row{c->name, ck, ok, o_orderdate[i],
-                            o_totalprice[i], b->sum_qty});
-      };
       size_t begin, end;
       while (!Stop(opt) && morsels.Next(begin, end)) {
-        if (opt.rof) {
-          StagedProbe big(ht_big, [&](size_t i) {
-            return HashCrc32(static_cast<uint32_t>(o_orderkey[i]));
-          });
-          StagedProbe cust(ht_cust, [&](size_t i) {
-            return HashCrc32(static_cast<uint32_t>(o_custkey[i]));
-          });
-          StagedProbeLoop(
-              begin, end, kRofAll,
-              [&](size_t i, uint64_t big_h, uint64_t cust_h) {
-                resolve(
-                    i, [&] { return big_h; }, [&] { return cust_h; });
-              },
-              big, cust);
-        } else {
-          for (size_t i = begin; i < end; ++i) {
-            resolve(
-                i,
-                [&] { return HashCrc32(static_cast<uint32_t>(o_orderkey[i])); },
-                [&] { return HashCrc32(static_cast<uint32_t>(o_custkey[i])); });
-          }
+        for (size_t i = begin; i < end; ++i) {
+          const int32_t ok = o_orderkey[i];
+          const Q18Order* b = ht_big.Lookup(
+              HashCrc32(static_cast<uint32_t>(ok)),
+              [&](const Q18Order& e) { return e.orderkey == ok; });
+          if (b == nullptr) continue;
+          const int32_t ck = o_custkey[i];
+          const Q18Cust* c = ht_cust.Lookup(
+              HashCrc32(static_cast<uint32_t>(ck)),
+              [&](const Q18Cust& e) { return e.custkey == ck; });
+          local.push_back(Row{c->name, ck, ok, o_orderdate[i],
+                              o_totalprice[i], b->sum_qty});
         }
       }
       std::lock_guard<std::mutex> lock(mu);

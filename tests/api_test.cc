@@ -48,18 +48,6 @@ TEST(ApiTest, AdaptiveQ1MatchesStandardPlans) {
   }
 }
 
-TEST(ApiTest, RofQ9MatchesStandardPlans) {
-  // The §9.1 relaxed-operator-fusion variant must be result-identical.
-  const auto expected = RunQuery(TestDb(), Engine::kTyper, Query::kQ9, {});
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    QueryOptions opt;
-    opt.threads = threads;
-    opt.rof = true;
-    EXPECT_EQ(RunQuery(TestDb(), Engine::kTyper, Query::kQ9, opt), expected)
-        << "threads=" << threads;
-  }
-}
-
 TEST(BenchUtilTest, TuplesScannedMatchesCardinalities) {
   const Database& db = TestDb();
   EXPECT_EQ(benchutil::TuplesScanned(db, Query::kQ1),

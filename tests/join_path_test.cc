@@ -9,7 +9,7 @@
 #include "datagen/ssb.h"
 #include "datagen/tpch.h"
 
-// The join build/probe memory path (ISSUE 3), audited end to end:
+// The join build/probe memory path, audited end to end:
 //
 //  * Probe-output accumulation under multi-threaded collectors: batch
 //    compaction makes HashJoin accumulate sparse hits across probe
@@ -19,10 +19,10 @@
 //    {1, 64, 1024, 65536} across all nine queries (at vector size 1 no
 //    batch is ever sparse, so nothing accumulates).
 //
-//  * Prefetch x thread-count equivalence: {staged, unstaged} probes over
-//    the shared join build must be unobservable in results for both
-//    engines at threads {1, 8} — the acceptance matrix of the ROF
-//    generalization and of the per-worker arena build (one worker inserts
+//  * Thread-count x SIMD equivalence: probes over the shared join build
+//    must be unobservable in results for both engines at threads {1, 8},
+//    and for Tectorwise's scalar and AVX-512 findCandidates — the
+//    acceptance matrix of the per-worker arena build (one worker inserts
 //    without CAS, several CAS-insert into one directory).
 
 namespace vcq {
@@ -80,23 +80,20 @@ TEST_P(JoinPathTest, ProbeAccumulationMultiThreadedCollectors) {
   }
 }
 
-TEST_P(JoinPathTest, PrefetchAndThreadsAreResultInvariant) {
+TEST_P(JoinPathTest, ThreadsAndSimdAreResultInvariant) {
   const Query q = GetParam();
   for (const Engine engine : {Engine::kTyper, Engine::kTectorwise}) {
-    for (const bool rof : {false, true}) {
-      for (const size_t threads : {size_t{1}, size_t{8}}) {
-        // simd additionally routes staged probes through the AVX-512
-        // JoinCandidatesStaged variant (no-op where unsupported).
-        for (const bool simd : {false, true}) {
-          if (simd && engine != Engine::kTectorwise) continue;
-          QueryOptions opt;
-          opt.threads = threads;
-          opt.rof = rof;
-          opt.simd = simd;
-          EXPECT_EQ(RunQuery(DbFor(q), engine, q, opt), Expected(q))
-              << EngineName(engine) << " rof=" << rof
-              << " threads=" << threads << " simd=" << simd;
-        }
+    for (const size_t threads : {size_t{1}, size_t{8}}) {
+      // simd routes Tectorwise probes through the AVX-512 JoinCandidates
+      // variant (no-op where unsupported).
+      for (const bool simd : {false, true}) {
+        if (simd && engine != Engine::kTectorwise) continue;
+        QueryOptions opt;
+        opt.threads = threads;
+        opt.simd = simd;
+        EXPECT_EQ(RunQuery(DbFor(q), engine, q, opt), Expected(q))
+            << EngineName(engine) << " threads=" << threads
+            << " simd=" << simd;
       }
     }
   }

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "api/vcq.h"
 #include "datagen/ssb.h"
 #include "runtime/types.h"
 
 // SSB: Typer and Tectorwise are independent implementations and must agree;
-// Q1.1 is additionally checked against a plain reference scan.
+// Q1.1 is additionally checked against a plain reference scan. Q1.1 also
+// runs with bindings whose lineorder filter passes no row and every row,
+// the two extremes of Typer's branch-free selection stage.
 
 namespace vcq {
 namespace {
@@ -20,7 +23,48 @@ const Database& TestDb() {
   return *db;
 }
 
-QueryResult ReferenceQ11(const Database& db) {
+/// SSB-Q1.1 bindings: the catalog defaults, or lineorder filters that pass
+/// no row (quantity < 1) or every row (discount 0-10, quantity < 51).
+enum class Bindings { kDefault, kNoRow, kEveryRow };
+
+struct Q11Filter {
+  int64_t discount_lo, discount_hi, quantity_max;
+};
+
+Q11Filter FilterFor(Bindings b) {
+  switch (b) {
+    case Bindings::kDefault: return {1, 3, 25};
+    case Bindings::kNoRow: return {1, 3, 1};
+    case Bindings::kEveryRow: return {0, 10, 51};
+  }
+  return {};
+}
+
+const char* BindingsName(Bindings b) {
+  switch (b) {
+    case Bindings::kDefault: return "";
+    case Bindings::kNoRow: return "_norow";
+    case Bindings::kEveryRow: return "_everyrow";
+  }
+  return "";
+}
+
+/// Runs `query` on a fresh session with the catalog defaults, SSB-Q1.1's
+/// lineorder filter overridden by `bindings`.
+QueryResult RunBound(Engine engine, Query query, const QueryOptions& opt,
+                     Bindings bindings) {
+  if (bindings == Bindings::kDefault)
+    return RunQuery(TestDb(), engine, query, opt);
+  const Q11Filter f = FilterFor(bindings);
+  Session session(TestDb());
+  PreparedQuery q = session.Prepare(engine, query, opt);
+  q.Set("discount_lo", f.discount_lo)
+      .Set("discount_hi", f.discount_hi)
+      .Set("quantity_max", f.quantity_max);
+  return q.Execute();
+}
+
+QueryResult ReferenceQ11(const Database& db, Q11Filter f) {
   const auto& lo = db["lineorder"];
   const auto& date = db["date"];
   const auto d_datekey = date.Col<int32_t>("d_datekey");
@@ -34,7 +78,10 @@ QueryResult ReferenceQ11(const Database& db) {
   const auto extprice = lo.Col<int64_t>("lo_extendedprice");
   int64_t total = 0;
   for (size_t i = 0; i < lo.tuple_count(); ++i) {
-    if (discount[i] < 1 || discount[i] > 3 || quantity[i] >= 25) continue;
+    if (discount[i] < f.discount_lo || discount[i] > f.discount_hi ||
+        quantity[i] >= f.quantity_max) {
+      continue;
+    }
     const auto it = year_of.find(orderdate[i]);
     if (it == year_of.end() || it->second != 1993) continue;
     total += extprice[i] * discount[i];
@@ -48,6 +95,7 @@ struct SsbConfig {
   size_t threads;
   size_t vector_size;
   bool simd;
+  Bindings bindings = Bindings::kDefault;
 };
 
 class SsbCrossEngineTest
@@ -57,18 +105,31 @@ TEST_P(SsbCrossEngineTest, TyperAndTectorwiseAgree) {
   const auto [query, config] = GetParam();
   QueryOptions base;
   base.threads = 1;
-  const QueryResult expected = RunQuery(TestDb(), Engine::kTyper, query, base);
+  const QueryResult expected =
+      RunBound(Engine::kTyper, query, base, config.bindings);
 
   QueryOptions opt;
   opt.threads = config.threads;
   opt.vector_size = config.vector_size;
   opt.simd = config.simd;
-  const QueryResult tw = RunQuery(TestDb(), Engine::kTectorwise, query, opt);
+  const QueryResult tw =
+      RunBound(Engine::kTectorwise, query, opt, config.bindings);
   EXPECT_EQ(tw, expected) << QueryName(query) << "\nexpected:\n"
                           << expected.ToString(12) << "\ngot:\n"
                           << tw.ToString(12);
-  const QueryResult typer_mt = RunQuery(TestDb(), Engine::kTyper, query, opt);
+  const QueryResult typer_mt =
+      RunBound(Engine::kTyper, query, opt, config.bindings);
   EXPECT_EQ(typer_mt, expected) << QueryName(query) << " typer multithread";
+}
+
+std::string ConfigName(const auto& info) {
+  std::string name = QueryName(std::get<0>(info.param));
+  for (char& c : name)
+    if (c == '-' || c == '.') c = '_';
+  const SsbConfig& c = std::get<1>(info.param);
+  return name + "_t" + std::to_string(c.threads) + "_v" +
+         std::to_string(c.vector_size) + (c.simd ? "_simd" : "") +
+         BindingsName(c.bindings);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,20 +140,28 @@ INSTANTIATE_TEST_SUITE_P(
                                          SsbConfig{1, 1024, true},
                                          SsbConfig{4, 257, false},
                                          SsbConfig{6, 1024, true})),
-    [](const auto& info) {
-      std::string name = QueryName(std::get<0>(info.param));
-      for (char& c : name)
-        if (c == '-' || c == '.') c = '_';
-      const SsbConfig& c = std::get<1>(info.param);
-      return name + "_t" + std::to_string(c.threads) + "_v" +
-             std::to_string(c.vector_size) + (c.simd ? "_simd" : "");
-    });
+    [](const auto& info) { return ConfigName(info); });
+
+INSTANTIATE_TEST_SUITE_P(
+    Q11FilterExtremes, SsbCrossEngineTest,
+    ::testing::Combine(
+        ::testing::Values(Query::kSsbQ11),
+        ::testing::Values(SsbConfig{1, 1024, false, Bindings::kNoRow},
+                          SsbConfig{4, 1024, false, Bindings::kNoRow},
+                          SsbConfig{1, 1024, false, Bindings::kEveryRow},
+                          SsbConfig{4, 1024, false, Bindings::kEveryRow})),
+    [](const auto& info) { return ConfigName(info); });
 
 TEST(SsbReferenceTest, Q11BothEngines) {
-  const QueryResult expected = ReferenceQ11(TestDb());
-  EXPECT_EQ(RunQuery(TestDb(), Engine::kTyper, Query::kSsbQ11, {}), expected);
-  EXPECT_EQ(RunQuery(TestDb(), Engine::kTectorwise, Query::kSsbQ11, {}),
-            expected);
+  for (const Bindings b :
+       {Bindings::kDefault, Bindings::kNoRow, Bindings::kEveryRow}) {
+    const QueryResult expected = ReferenceQ11(TestDb(), FilterFor(b));
+    EXPECT_EQ(RunBound(Engine::kTyper, Query::kSsbQ11, {}, b), expected)
+        << BindingsName(b);
+    EXPECT_EQ(RunBound(Engine::kTectorwise, Query::kSsbQ11, {}, b),
+              expected)
+        << BindingsName(b);
+  }
 }
 
 TEST(SsbShapeTest, Q21GroupsByYearAndBrand) {

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "api/session.h"
 #include "api/vcq.h"
 #include "datagen/tpch.h"
 #include "runtime/types.h"
@@ -12,7 +13,9 @@
 // from the query's reference SQL text (sql/reference_queries.h), so it
 // stays structurally independent of the hand-built Typer and Tectorwise
 // plans. Q1/Q6 are additionally checked against simple std::map
-// references computed here.
+// references computed here. Q3 also runs with `date` bindings whose
+// lineitem filter (l_shipdate > date) passes no row and every row, the two
+// extremes of Typer's branch-free selection stage.
 
 namespace vcq {
 namespace {
@@ -94,15 +97,38 @@ QueryResult ReferenceQ1(const Database& db) {
   return rb.Finish();
 }
 
+/// Q3's `date` binding: the catalog default, or a date after every
+/// l_shipdate (no lineitem row passes) or before every l_shipdate (every
+/// row passes). The same date bounds o_orderdate from above, so both
+/// extremes end with an empty result: no probe row, or no orders entry.
+enum class Bindings { kDefault, kNoRow, kEveryRow };
+
+/// Runs `query` on a fresh session with the catalog defaults, Q3's `date`
+/// overridden by `bindings`.
+QueryResult RunBound(Engine engine, Query query, const QueryOptions& opt,
+                     Bindings bindings) {
+  if (bindings == Bindings::kDefault)
+    return RunQuery(TestDb(), engine, query, opt);
+  Session session(TestDb());
+  PreparedQuery q = session.Prepare(engine, query, opt);
+  q.Set("date", bindings == Bindings::kNoRow ? "1999-01-01" : "1992-01-01");
+  return q.Execute();
+}
+
 struct EngineConfig {
   Engine engine;
   size_t threads;
   size_t vector_size;
   bool simd;
+  Bindings bindings = Bindings::kDefault;
 
   std::string Label() const {
+    const char* suffix = bindings == Bindings::kNoRow      ? "_norow"
+                         : bindings == Bindings::kEveryRow ? "_everyrow"
+                                                           : "";
     return std::string(EngineName(engine)) + "_t" + std::to_string(threads) +
-           "_v" + std::to_string(vector_size) + (simd ? "_simd" : "");
+           "_v" + std::to_string(vector_size) + (simd ? "_simd" : "") +
+           suffix;
   }
 };
 
@@ -114,13 +140,14 @@ TEST_P(CrossEngineTest, MatchesTyperSingleThread) {
   QueryOptions base;
   base.threads = 1;
   const QueryResult expected =
-      RunQuery(TestDb(), Engine::kTyper, query, base);
+      RunBound(Engine::kTyper, query, base, config.bindings);
 
   QueryOptions opt;
   opt.threads = config.threads;
   opt.vector_size = config.vector_size;
   opt.simd = config.simd;
-  const QueryResult got = RunQuery(TestDb(), config.engine, query, opt);
+  const QueryResult got =
+      RunBound(config.engine, query, opt, config.bindings);
   EXPECT_EQ(got, expected)
       << config.Label() << " on " << QueryName(query) << "\nexpected:\n"
       << expected.ToString(12) << "\ngot:\n"
@@ -143,6 +170,30 @@ INSTANTIATE_TEST_SUITE_P(
             EngineConfig{Engine::kTyper, 4, 1024, false},
             EngineConfig{Engine::kTyper, 7, 1024, false},
             EngineConfig{Engine::kVolcano, 1, 1024, false})),
+    [](const auto& info) {
+      return std::string(QueryName(std::get<0>(info.param))) + "_" +
+             std::get<1>(info.param).Label();
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    Q3FilterExtremes, CrossEngineTest,
+    ::testing::Combine(
+        ::testing::Values(Query::kQ3),
+        ::testing::Values(
+            EngineConfig{Engine::kTectorwise, 1, 1024, false,
+                         Bindings::kNoRow},
+            EngineConfig{Engine::kTectorwise, 4, 1024, false,
+                         Bindings::kNoRow},
+            EngineConfig{Engine::kTyper, 4, 1024, false, Bindings::kNoRow},
+            EngineConfig{Engine::kVolcano, 1, 1024, false, Bindings::kNoRow},
+            EngineConfig{Engine::kTectorwise, 1, 1024, false,
+                         Bindings::kEveryRow},
+            EngineConfig{Engine::kTectorwise, 4, 1024, false,
+                         Bindings::kEveryRow},
+            EngineConfig{Engine::kTyper, 4, 1024, false,
+                         Bindings::kEveryRow},
+            EngineConfig{Engine::kVolcano, 1, 1024, false,
+                         Bindings::kEveryRow})),
     [](const auto& info) {
       return std::string(QueryName(std::get<0>(info.param))) + "_" +
              std::get<1>(info.param).Label();
