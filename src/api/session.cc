@@ -42,9 +42,7 @@ using runtime::Scheduler;
 
 namespace {
 
-using TyperFn = QueryResult (*)(const Database&, const QueryOptions&,
-                                const QueryParams&,
-                                const typer::ColumnCache&);
+using TyperFn = typer::QueryFn*;
 
 TyperFn TyperRunner(Query query) {
   switch (query) {

@@ -4,8 +4,6 @@
 #include <memory>
 #include <mutex>
 
-#include "runtime/cancel.h"
-#include "runtime/fault_injector.h"
 #include "runtime/options.h"
 #include "runtime/params.h"
 #include "runtime/query_result.h"
@@ -15,9 +13,25 @@
 // tight-loop pipeline that HyPer-style produce/consume code generation
 // emits (paper §2, Fig. 2a) — compiled ahead of time, which the paper's own
 // methodology treats as equivalent since compile time is excluded from all
-// measurements (§3, footnote 1). Predicates, arithmetic, hash-table probes
-// and aggregate updates of one pipeline all live in a single loop whose
-// intermediate values stay in registers.
+// measurements (§3, footnote 1).
+//
+// The queries are written with a header-only kit (typer/pipeline.h) that
+// does the code generator's work with templates instead of a JIT. In
+// produce/consume, an operator's consume() pastes its parent's code into
+// the child's loop; here each kit part takes the code of the operators it
+// feeds as a lambda, and the compiler inlines them into one loop whose
+// intermediate values stay in registers:
+//
+//   pipeline source: table scan   Scan(opt, rows, worker(wid, morsels))
+//   selection                     an early return in the row lambda, or
+//                                 ForEachSelected (branch-free) where a
+//                                 scan predicate feeds a probe
+//   pipeline sink: join build     JoinTable::Build(rows, row(i, emit))
+//   hash-join probe               JoinTable::Find(key)
+//   sink + source: group-by       GroupBy<G>(opt, rows, [pred,] row(i,
+//                                 local)) with local.At(key)
+//   sink: scalar aggregate        Sum(opt, rows, morsel(begin, end))
+//   sort, limit, output           Finish(opt, columns, rows, less, write)
 //
 // Every pipeline is parameterized (paper §8.1: compilation's edge is
 // repeated execution of prepared statements): predicate constants are read
@@ -26,12 +40,10 @@
 // declares for it to be bound — go through vcq::Session (which merges the
 // catalog defaults) or bind them all explicitly.
 //
-// Column resolution is cached per prepared query: Relation::Col<T> does a
-// name lookup plus a type check per call, which one-shot runs pay once but
-// a warm PreparedQuery used to re-pay on every Execute. Each pipeline
-// resolves its columns into a query-specific struct through the
-// ColumnCache below — the first Execute populates it, later ones reuse the
-// spans (one atomic call_once fast path; visible on Q6 at threads=1).
+// Column accessors are resolved once per prepared query into a
+// query-specific struct through the ColumnCache below: Relation::Col<T>
+// does a name lookup plus a type check per call, which a warm
+// PreparedQuery would otherwise re-pay on every Execute.
 
 namespace vcq::typer {
 
@@ -53,55 +65,14 @@ class ColumnCache {
   mutable std::shared_ptr<void> cols_;
 };
 
-/// The per-morsel cancellation poll every Typer pipeline loop uses:
-/// checked before each morsel claim, so a cancelled or deadline-expired
-/// run stops at the next morsel boundary (see runtime/cancel.h for why
-/// the before-claim ordering keeps partially built hash tables unprobed).
-/// Doubles as the engine's densest fault point ("scan.morsel"): an
-/// injected failure here exercises the exception backstop at every morsel
-/// boundary of every pipeline.
-inline bool Stop(const runtime::QueryOptions& opt) {
-  runtime::FaultHit(opt.fault, "scan.morsel", opt.cancel);
-  return runtime::Interrupted(opt.cancel);
-}
+/// Every Typer query's entry point.
+using QueryFn = runtime::QueryResult(const runtime::Database& db,
+                                     const runtime::QueryOptions& opt,
+                                     const runtime::QueryParams& params,
+                                     const ColumnCache& cache);
 
-runtime::QueryResult RunQ1(const runtime::Database& db,
-                           const runtime::QueryOptions& opt,
-                           const runtime::QueryParams& params,
-                           const ColumnCache& cache);
-runtime::QueryResult RunQ6(const runtime::Database& db,
-                           const runtime::QueryOptions& opt,
-                           const runtime::QueryParams& params,
-                           const ColumnCache& cache);
-runtime::QueryResult RunQ3(const runtime::Database& db,
-                           const runtime::QueryOptions& opt,
-                           const runtime::QueryParams& params,
-                           const ColumnCache& cache);
-runtime::QueryResult RunQ9(const runtime::Database& db,
-                           const runtime::QueryOptions& opt,
-                           const runtime::QueryParams& params,
-                           const ColumnCache& cache);
-runtime::QueryResult RunQ18(const runtime::Database& db,
-                            const runtime::QueryOptions& opt,
-                            const runtime::QueryParams& params,
-                            const ColumnCache& cache);
-
-runtime::QueryResult RunSsbQ11(const runtime::Database& db,
-                               const runtime::QueryOptions& opt,
-                               const runtime::QueryParams& params,
-                               const ColumnCache& cache);
-runtime::QueryResult RunSsbQ21(const runtime::Database& db,
-                               const runtime::QueryOptions& opt,
-                               const runtime::QueryParams& params,
-                               const ColumnCache& cache);
-runtime::QueryResult RunSsbQ31(const runtime::Database& db,
-                               const runtime::QueryOptions& opt,
-                               const runtime::QueryParams& params,
-                               const ColumnCache& cache);
-runtime::QueryResult RunSsbQ41(const runtime::Database& db,
-                               const runtime::QueryOptions& opt,
-                               const runtime::QueryParams& params,
-                               const ColumnCache& cache);
+QueryFn RunQ1, RunQ6, RunQ3, RunQ9, RunQ18;
+QueryFn RunSsbQ11, RunSsbQ21, RunSsbQ31, RunSsbQ41;
 
 }  // namespace vcq::typer
 

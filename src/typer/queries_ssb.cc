@@ -1,31 +1,24 @@
-#include <algorithm>
-#include <mutex>
+#include <array>
+#include <functional>
 #include <span>
 #include <tuple>
 
-#include "runtime/cancel.h"
 #include "runtime/hash.h"
 #include "runtime/types.h"
-#include "runtime/worker_pool.h"
-#include "typer/group_table.h"
-#include "typer/join_table.h"
+#include "typer/pipeline.h"
 #include "typer/queries.h"
-#include "typer/selection.h"
 
 // Star Schema Benchmark pipelines for Typer (paper §4.4): one fused probe
-// loop over lineorder against filtered dimension hash tables. Column
-// accessors resolve once per prepared query (ColumnCache, queries.h) and
-// every morsel loop polls opt.cancel — see queries_tpch.cc for the
-// cancellation ordering argument.
+// loop over lineorder against filtered dimension hash tables, written with
+// the kit in typer/pipeline.h.
 
 namespace vcq::typer {
 
 using runtime::Char;
 using runtime::Database;
+using runtime::HashBytes;
 using runtime::HashCrc32;
 using runtime::Hashmap;
-using runtime::MorselQueue;
-using runtime::PoolFor;
 using runtime::QueryOptions;
 using runtime::QueryParams;
 using runtime::QueryResult;
@@ -36,7 +29,7 @@ namespace {
 
 struct DateEntry {
   Hashmap::EntryHeader header;
-  int32_t datekey, year;
+  int32_t key, year;  // key: datekey
 };
 struct KeyOnly {
   Hashmap::EntryHeader header;
@@ -49,28 +42,9 @@ struct KeyNation {
 };
 struct BrandEntry {
   Hashmap::EntryHeader header;
-  int32_t partkey;
+  int32_t key;  // partkey
   Char<9> brand;
 };
-
-/// Builds a dimension hash table from rows passing `pred`, with the entry
-/// payload produced by `fill`.
-template <typename Entry, typename PredFn, typename FillFn>
-void BuildDimension(JoinTable<Entry>& table, size_t tuple_count,
-                    const QueryOptions& opt, PredFn&& pred, FillFn&& fill) {
-  MorselQueue morsels(tuple_count, opt.morsel_grain);
-  table.Build([&](size_t, auto emit) {
-    size_t begin, end;
-    while (!Stop(opt) && morsels.Next(begin, end)) {
-      for (size_t i = begin; i < end; ++i) {
-        if (!pred(i)) continue;
-        Entry e;
-        fill(i, &e);
-        emit(e);
-      }
-    }
-  }, tuple_count);
-}
 
 }  // namespace
 
@@ -102,57 +76,37 @@ QueryResult RunSsbQ11(const Database& db, const QueryOptions& opt,
       cache.Get<Q11Cols>([&] { return Q11Cols::Resolve(db); });
   const auto& [d_datekey, d_year, lo_orderdate, lo_discount, lo_quantity,
                lo_extprice] = cols;
-
   const int32_t year = static_cast<int32_t>(params.Int("year"));
   const int64_t disc_lo = params.Int("discount_lo");
   const int64_t disc_hi = params.Int("discount_hi");
   const int64_t qty_max = params.Int("quantity_max");
-  JoinTable<KeyOnly> ht_date(opt);
-  BuildDimension(
-      ht_date, d_datekey.size(), opt,
-      [&](size_t i) { return d_year[i] == year; },
-      [&](size_t i, KeyOnly* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(d_datekey[i]));
-        e->key = d_datekey[i];
-      });
 
-  int64_t total = 0;
-  std::mutex mu;
-  MorselQueue morsels(lo_orderdate.size(), opt.morsel_grain);
-  PoolFor(opt).Run(opt, morsels.total(), [&](size_t) {
-    int64_t local = 0;
-    size_t begin, end;
-    while (!Stop(opt) && morsels.Next(begin, end)) {
-      // The default bindings keep about 13% of lineorder, where a branch on
-      // the filter mispredicts often, so it runs as a branch-free selection
-      // stage ahead of the date probe.
-      ForEachSelected(
-          begin, end,
-          [&](size_t i) {
-            return (lo_discount[i] >= disc_lo) & (lo_discount[i] <= disc_hi) &
-                   (lo_quantity[i] < qty_max);
-          },
-          [&](size_t i) {
-            const int32_t dk = lo_orderdate[i];
-            if (ht_date.Lookup(HashCrc32(static_cast<uint32_t>(dk)),
-                               [&](const KeyOnly& e) { return e.key == dk; }) ==
-                nullptr) {
-              return;
-            }
-            local += lo_extprice[i] * lo_discount[i];
-          });
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    total += local;
+  JoinTable<KeyOnly> ht_date(opt);
+  ht_date.Build(d_datekey.size(), [&](size_t i, auto& emit) {
+    if (d_year[i] == year) emit(d_datekey[i]);
   });
 
-  // Serial tail: surface a trip (deadline, budget, injected fault) that
-  // landed during or after the parallel phase instead of sorting and
-  // building a result nobody will see.
-  if (Stop(opt)) return QueryResult::Failed(opt.cancel->status());
-  ResultBuilder rb({"revenue"});
-  rb.BeginRow().Numeric(total, 4);
-  return rb.Finish();
+  const int64_t total = Sum(opt, lo_orderdate.size(), [&](size_t begin,
+                                                          size_t end) {
+    // The default bindings keep about 13% of lineorder, where a branch on
+    // the filter mispredicts often, so it runs as the branch-free filter
+    // step ahead of the date probe.
+    int64_t sum = 0;
+    ForEachSelected(
+        begin, end,
+        [&](size_t i) {
+          return (lo_discount[i] >= disc_lo) & (lo_discount[i] <= disc_hi) &
+                 (lo_quantity[i] < qty_max);
+        },
+        [&](size_t i) {
+          if (ht_date.Find(lo_orderdate[i]) != nullptr)
+            sum += lo_extprice[i] * lo_discount[i];
+        });
+    return sum;
+  });
+
+  return Finish(opt, {"revenue"}, std::array{total}, std::less<>(),
+                [](ResultBuilder& row, int64_t v) { row.Numeric(v, 4); });
 }
 
 // ---------------------------------------------------------------------------
@@ -160,15 +114,21 @@ QueryResult RunSsbQ11(const Database& db, const QueryOptions& opt,
 // ---------------------------------------------------------------------------
 namespace {
 
-struct Q21Group {
-  Hashmap::EntryHeader header;
+struct Q21Key {
   int32_t year;
   Char<9> brand;
+
+  bool operator==(const Q21Key&) const = default;
+  uint64_t Hash() const {
+    return HashCrc32(static_cast<uint64_t>(static_cast<uint32_t>(year)) ^
+                     (HashBytes(brand.data, 9) << 1));
+  }
+};
+struct Q21Group {
+  Hashmap::EntryHeader header;
+  Q21Key key;
   int64_t revenue;
 
-  bool KeyEquals(const Q21Group& o) const {
-    return year == o.year && brand == o.brand;
-  }
   void Combine(const Q21Group& o) { revenue += o.revenue; }
 };
 
@@ -205,95 +165,39 @@ QueryResult RunSsbQ21(const Database& db, const QueryOptions& opt,
   const auto& [p_partkey, p_category, p_brand1, s_suppkey, s_region,
                d_datekey, d_year, lo_partkey, lo_suppkey, lo_orderdate,
                lo_revenue] = cols;
+  const Char<7> category = Char<7>::From(params.Str("category"));
+  const Char<12> region = Char<12>::From(params.Str("region"));
 
   JoinTable<BrandEntry> ht_part(opt);
-  const Char<7> category = Char<7>::From(params.Str("category"));
-  BuildDimension(
-      ht_part, p_partkey.size(), opt,
-      [&](size_t i) { return p_category[i] == category; },
-      [&](size_t i, BrandEntry* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(p_partkey[i]));
-        e->partkey = p_partkey[i];
-        e->brand = p_brand1[i];
-      });
-
+  ht_part.Build(p_partkey.size(), [&](size_t i, auto& emit) {
+    if (p_category[i] == category) emit(p_partkey[i], p_brand1[i]);
+  });
   JoinTable<KeyOnly> ht_supp(opt);
-  const Char<12> region = Char<12>::From(params.Str("region"));
-  BuildDimension(
-      ht_supp, s_suppkey.size(), opt,
-      [&](size_t i) { return s_region[i] == region; },
-      [&](size_t i, KeyOnly* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(s_suppkey[i]));
-        e->key = s_suppkey[i];
-      });
-
+  ht_supp.Build(s_suppkey.size(), [&](size_t i, auto& emit) {
+    if (s_region[i] == region) emit(s_suppkey[i]);
+  });
   JoinTable<DateEntry> ht_date(opt);
-  BuildDimension(
-      ht_date, d_datekey.size(), opt,
-      [&](size_t) { return true; },
-      [&](size_t i, DateEntry* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(d_datekey[i]));
-        e->datekey = d_datekey[i];
-        e->year = d_year[i];
+  ht_date.Build(d_datekey.size(), [&](size_t i, auto& emit) {
+    emit(d_datekey[i], d_year[i]);
+  });
+
+  auto merged = GroupBy<Q21Group>(
+      opt, lo_partkey.size(), [&](size_t i, auto& local) {
+        const BrandEntry* p = ht_part.Find(lo_partkey[i]);
+        if (p == nullptr || ht_supp.Find(lo_suppkey[i]) == nullptr) return;
+        const DateEntry* d = ht_date.Find(lo_orderdate[i]);
+        local.At(Q21Key{d->year, p->brand})->revenue += lo_revenue[i];
       });
 
-  std::vector<std::unique_ptr<LocalGroupTable<Q21Group>>> locals(opt.threads);
-  MorselQueue morsels(lo_partkey.size(), opt.morsel_grain);
-  PoolFor(opt).Run(opt, morsels.total(), [&](size_t wid) {
-    locals[wid] = std::make_unique<LocalGroupTable<Q21Group>>(opt);
-    LocalGroupTable<Q21Group>& local = *locals[wid];
-    size_t begin, end;
-    while (!Stop(opt) && morsels.Next(begin, end)) {
-      for (size_t i = begin; i < end; ++i) {
-        const int32_t pk = lo_partkey[i];
-        const BrandEntry* p = ht_part.Lookup(
-            HashCrc32(static_cast<uint32_t>(pk)),
-            [&](const BrandEntry& e) { return e.partkey == pk; });
-        if (p == nullptr) continue;
-        const int32_t sk = lo_suppkey[i];
-        if (ht_supp.Lookup(HashCrc32(static_cast<uint32_t>(sk)),
-                           [&](const KeyOnly& e) { return e.key == sk; }) ==
-            nullptr) {
-          continue;
-        }
-        const int32_t dk = lo_orderdate[i];
-        const DateEntry* d = ht_date.Lookup(
-            HashCrc32(static_cast<uint32_t>(dk)),
-            [&](const DateEntry& e) { return e.datekey == dk; });
-        const int32_t year = d->year;
-        const Char<9> brand = p->brand;
-        const uint64_t gh = HashCrc32(
-            static_cast<uint64_t>(static_cast<uint32_t>(year)) ^
-            (runtime::HashBytes(brand.data, 9) << 1));
-        Q21Group* g = local.FindOrCreate(
-            gh,
-            [&](const Q21Group& e) {
-              return e.year == year && e.brand == brand;
-            },
-            [&](Q21Group* e) {
-              e->year = year;
-              e->brand = brand;
-              e->revenue = 0;
-            });
-        g->revenue += lo_revenue[i];
-      }
-    }
-  });
-
-  auto merged = MergeLocalGroups(locals, opt);
-  std::vector<Q21Group*>& groups = merged.groups;
-  // Serial tail: surface a trip (deadline, budget, injected fault) that
-  // landed during or after the parallel phase instead of sorting and
-  // building a result nobody will see.
-  if (Stop(opt)) return QueryResult::Failed(opt.cancel->status());
-  std::sort(groups.begin(), groups.end(), [](Q21Group* a, Q21Group* b) {
-    if (a->year != b->year) return a->year < b->year;
-    return a->brand < b->brand;
-  });
-  ResultBuilder rb({"d_year", "p_brand1", "revenue"});
-  for (const Q21Group* g : groups)
-    rb.BeginRow().Int(g->year).Str(g->brand.View()).Numeric(g->revenue, 2);
-  return rb.Finish();
+  return Finish(
+      opt, {"d_year", "p_brand1", "revenue"}, merged.groups,
+      [](const Q21Group* a, const Q21Group* b) {
+        return std::tie(a->key.year, a->key.brand) <
+               std::tie(b->key.year, b->key.brand);
+      },
+      [](ResultBuilder& row, const Q21Group* g) {
+        row.Int(g->key.year).Str(g->key.brand.View()).Numeric(g->revenue, 2);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -301,15 +205,35 @@ QueryResult RunSsbQ21(const Database& db, const QueryOptions& opt,
 // ---------------------------------------------------------------------------
 namespace {
 
-struct Q31Group {
-  Hashmap::EntryHeader header;
+struct Q31Key {
   Char<15> c_nation, s_nation;
   int32_t year;
+
+  bool operator==(const Q31Key&) const = default;
+};
+// The group-by probe: hashes and compares the joined rows' nations where
+// they lie. A Q31Key built first would copy each Char<15> through two
+// overlapping 8-byte stack stores, and the hash's loads of the copy stall.
+struct Q31Probe {
+  const Char<15>& c_nation;
+  const Char<15>& s_nation;
+  int32_t year;
+
+  bool operator==(const Q31Key& k) const {
+    return k.year == year && k.c_nation == c_nation && k.s_nation == s_nation;
+  }
+  operator Q31Key() const { return {c_nation, s_nation, year}; }
+  uint64_t Hash() const {
+    return HashCrc32(HashBytes(c_nation.data, 15) ^
+                     (HashBytes(s_nation.data, 15) << 1) ^
+                     static_cast<uint32_t>(year));
+  }
+};
+struct Q31Group {
+  Hashmap::EntryHeader header;
+  Q31Key key;
   int64_t revenue;
 
-  bool KeyEquals(const Q31Group& o) const {
-    return year == o.year && c_nation == o.c_nation && s_nation == o.s_nation;
-  }
   void Combine(const Q31Group& o) { revenue += o.revenue; }
 };
 
@@ -353,100 +277,45 @@ QueryResult RunSsbQ31(const Database& db, const QueryOptions& opt,
   const int32_t year_hi = static_cast<int32_t>(params.Int("year_hi"));
 
   JoinTable<KeyNation> ht_cust(opt);
-  BuildDimension(
-      ht_cust, c_custkey.size(), opt,
-      [&](size_t i) { return c_region[i] == region; },
-      [&](size_t i, KeyNation* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(c_custkey[i]));
-        e->key = c_custkey[i];
-        e->nation = c_nation[i];
-      });
-
+  ht_cust.Build(c_custkey.size(), [&](size_t i, auto& emit) {
+    if (c_region[i] == region) emit(c_custkey[i], c_nation[i]);
+  });
   JoinTable<KeyNation> ht_supp(opt);
-  BuildDimension(
-      ht_supp, s_suppkey.size(), opt,
-      [&](size_t i) { return s_region[i] == region; },
-      [&](size_t i, KeyNation* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(s_suppkey[i]));
-        e->key = s_suppkey[i];
-        e->nation = s_nation[i];
-      });
-
+  ht_supp.Build(s_suppkey.size(), [&](size_t i, auto& emit) {
+    if (s_region[i] == region) emit(s_suppkey[i], s_nation[i]);
+  });
   JoinTable<DateEntry> ht_date(opt);
-  BuildDimension(
-      ht_date, d_datekey.size(), opt,
-      [&](size_t i) { return d_year[i] >= year_lo && d_year[i] <= year_hi; },
-      [&](size_t i, DateEntry* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(d_datekey[i]));
-        e->datekey = d_datekey[i];
-        e->year = d_year[i];
+  ht_date.Build(d_datekey.size(), [&](size_t i, auto& emit) {
+    if (d_year[i] >= year_lo && d_year[i] <= year_hi)
+      emit(d_datekey[i], d_year[i]);
+  });
+
+  auto merged = GroupBy<Q31Group>(
+      opt, lo_custkey.size(), [&](size_t i, auto& local) {
+        const KeyNation* c = ht_cust.Find(lo_custkey[i]);
+        if (c == nullptr) return;
+        const KeyNation* s = ht_supp.Find(lo_suppkey[i]);
+        if (s == nullptr) return;
+        const DateEntry* d = ht_date.Find(lo_orderdate[i]);
+        if (d == nullptr) return;
+        local.At(Q31Probe{c->nation, s->nation, d->year})->revenue +=
+            lo_revenue[i];
       });
 
-  std::vector<std::unique_ptr<LocalGroupTable<Q31Group>>> locals(opt.threads);
-  MorselQueue morsels(lo_custkey.size(), opt.morsel_grain);
-  PoolFor(opt).Run(opt, morsels.total(), [&](size_t wid) {
-    locals[wid] = std::make_unique<LocalGroupTable<Q31Group>>(opt);
-    LocalGroupTable<Q31Group>& local = *locals[wid];
-    size_t begin, end;
-    while (!Stop(opt) && morsels.Next(begin, end)) {
-      for (size_t i = begin; i < end; ++i) {
-        const int32_t ck = lo_custkey[i];
-        const KeyNation* c = ht_cust.Lookup(
-            HashCrc32(static_cast<uint32_t>(ck)),
-            [&](const KeyNation& e) { return e.key == ck; });
-        if (c == nullptr) continue;
-        const int32_t sk = lo_suppkey[i];
-        const KeyNation* s = ht_supp.Lookup(
-            HashCrc32(static_cast<uint32_t>(sk)),
-            [&](const KeyNation& e) { return e.key == sk; });
-        if (s == nullptr) continue;
-        const int32_t dk = lo_orderdate[i];
-        const DateEntry* d = ht_date.Lookup(
-            HashCrc32(static_cast<uint32_t>(dk)),
-            [&](const DateEntry& e) { return e.datekey == dk; });
-        if (d == nullptr) continue;
-        const uint64_t gh = HashCrc32(
-            runtime::HashBytes(c->nation.data, 15) ^
-            (runtime::HashBytes(s->nation.data, 15) << 1) ^
-            static_cast<uint32_t>(d->year));
-        Q31Group* g = local.FindOrCreate(
-            gh,
-            [&](const Q31Group& e) {
-              return e.year == d->year && e.c_nation == c->nation &&
-                     e.s_nation == s->nation;
-            },
-            [&](Q31Group* e) {
-              e->c_nation = c->nation;
-              e->s_nation = s->nation;
-              e->year = d->year;
-              e->revenue = 0;
-            });
-        g->revenue += lo_revenue[i];
-      }
-    }
-  });
-
-  auto merged = MergeLocalGroups(locals, opt);
-  std::vector<Q31Group*>& groups = merged.groups;
-  // Serial tail: surface a trip (deadline, budget, injected fault) that
-  // landed during or after the parallel phase instead of sorting and
-  // building a result nobody will see.
-  if (Stop(opt)) return QueryResult::Failed(opt.cancel->status());
-  std::sort(groups.begin(), groups.end(), [](Q31Group* a, Q31Group* b) {
-    if (a->year != b->year) return a->year < b->year;
-    if (a->revenue != b->revenue) return a->revenue > b->revenue;
-    return std::tie(a->c_nation, a->s_nation) <
-           std::tie(b->c_nation, b->s_nation);
-  });
-  ResultBuilder rb({"c_nation", "s_nation", "d_year", "revenue"});
-  for (const Q31Group* g : groups) {
-    rb.BeginRow()
-        .Str(g->c_nation.View())
-        .Str(g->s_nation.View())
-        .Int(g->year)
-        .Numeric(g->revenue, 2);
-  }
-  return rb.Finish();
+  return Finish(
+      opt, {"c_nation", "s_nation", "d_year", "revenue"}, merged.groups,
+      [](const Q31Group* a, const Q31Group* b) {
+        return std::tie(a->key.year, b->revenue, a->key.c_nation,
+                        a->key.s_nation) <
+               std::tie(b->key.year, a->revenue, b->key.c_nation,
+                        b->key.s_nation);
+      },
+      [](ResultBuilder& row, const Q31Group* g) {
+        row.Str(g->key.c_nation.View())
+            .Str(g->key.s_nation.View())
+            .Int(g->key.year)
+            .Numeric(g->revenue, 2);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -454,15 +323,31 @@ QueryResult RunSsbQ31(const Database& db, const QueryOptions& opt,
 // ---------------------------------------------------------------------------
 namespace {
 
-struct Q41Group {
-  Hashmap::EntryHeader header;
+struct Q41Key {
   int32_t year;
   Char<15> c_nation;
+
+  bool operator==(const Q41Key&) const = default;
+};
+// The group-by probe (see Q31Probe).
+struct Q41Probe {
+  int32_t year;
+  const Char<15>& c_nation;
+
+  bool operator==(const Q41Key& k) const {
+    return k.year == year && k.c_nation == c_nation;
+  }
+  operator Q41Key() const { return {year, c_nation}; }
+  uint64_t Hash() const {
+    return HashCrc32(HashBytes(c_nation.data, 15) ^
+                     static_cast<uint32_t>(year));
+  }
+};
+struct Q41Group {
+  Hashmap::EntryHeader header;
+  Q41Key key;
   int64_t profit;
 
-  bool KeyEquals(const Q41Group& o) const {
-    return year == o.year && c_nation == o.c_nation;
-  }
   void Combine(const Q41Group& o) { profit += o.profit; }
 };
 
@@ -506,109 +391,47 @@ QueryResult RunSsbQ41(const Database& db, const QueryOptions& opt,
                p_mfgr, d_datekey, d_year, lo_custkey, lo_suppkey, lo_partkey,
                lo_orderdate, lo_revenue, lo_supplycost] = cols;
   const Char<12> region = Char<12>::From(params.Str("region"));
-
-  JoinTable<KeyNation> ht_cust(opt);
-  BuildDimension(
-      ht_cust, c_custkey.size(), opt,
-      [&](size_t i) { return c_region[i] == region; },
-      [&](size_t i, KeyNation* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(c_custkey[i]));
-        e->key = c_custkey[i];
-        e->nation = c_nation[i];
-      });
-
-  JoinTable<KeyOnly> ht_supp(opt);
-  BuildDimension(
-      ht_supp, s_suppkey.size(), opt,
-      [&](size_t i) { return s_region[i] == region; },
-      [&](size_t i, KeyOnly* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(s_suppkey[i]));
-        e->key = s_suppkey[i];
-      });
-
-  JoinTable<KeyOnly> ht_part(opt);
   const Char<6> mfgr_a = Char<6>::From(params.Str("mfgr_a"));
   const Char<6> mfgr_b = Char<6>::From(params.Str("mfgr_b"));
-  BuildDimension(
-      ht_part, p_partkey.size(), opt,
-      [&](size_t i) { return p_mfgr[i] == mfgr_a || p_mfgr[i] == mfgr_b; },
-      [&](size_t i, KeyOnly* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(p_partkey[i]));
-        e->key = p_partkey[i];
-      });
 
+  JoinTable<KeyNation> ht_cust(opt);
+  ht_cust.Build(c_custkey.size(), [&](size_t i, auto& emit) {
+    if (c_region[i] == region) emit(c_custkey[i], c_nation[i]);
+  });
+  JoinTable<KeyOnly> ht_supp(opt);
+  ht_supp.Build(s_suppkey.size(), [&](size_t i, auto& emit) {
+    if (s_region[i] == region) emit(s_suppkey[i]);
+  });
+  JoinTable<KeyOnly> ht_part(opt);
+  ht_part.Build(p_partkey.size(), [&](size_t i, auto& emit) {
+    if (p_mfgr[i] == mfgr_a || p_mfgr[i] == mfgr_b) emit(p_partkey[i]);
+  });
   JoinTable<DateEntry> ht_date(opt);
-  BuildDimension(
-      ht_date, d_datekey.size(), opt,
-      [&](size_t) { return true; },
-      [&](size_t i, DateEntry* e) {
-        e->header.hash = HashCrc32(static_cast<uint32_t>(d_datekey[i]));
-        e->datekey = d_datekey[i];
-        e->year = d_year[i];
+  ht_date.Build(d_datekey.size(), [&](size_t i, auto& emit) {
+    emit(d_datekey[i], d_year[i]);
+  });
+
+  auto merged = GroupBy<Q41Group>(
+      opt, lo_custkey.size(), [&](size_t i, auto& local) {
+        const KeyNation* c = ht_cust.Find(lo_custkey[i]);
+        if (c == nullptr || ht_supp.Find(lo_suppkey[i]) == nullptr ||
+            ht_part.Find(lo_partkey[i]) == nullptr) {
+          return;
+        }
+        const DateEntry* d = ht_date.Find(lo_orderdate[i]);
+        local.At(Q41Probe{d->year, c->nation})->profit +=
+            lo_revenue[i] - lo_supplycost[i];
       });
 
-  std::vector<std::unique_ptr<LocalGroupTable<Q41Group>>> locals(opt.threads);
-  MorselQueue morsels(lo_custkey.size(), opt.morsel_grain);
-  PoolFor(opt).Run(opt, morsels.total(), [&](size_t wid) {
-    locals[wid] = std::make_unique<LocalGroupTable<Q41Group>>(opt);
-    LocalGroupTable<Q41Group>& local = *locals[wid];
-    size_t begin, end;
-    while (!Stop(opt) && morsels.Next(begin, end)) {
-      for (size_t i = begin; i < end; ++i) {
-        const int32_t ck = lo_custkey[i];
-        const KeyNation* c = ht_cust.Lookup(
-            HashCrc32(static_cast<uint32_t>(ck)),
-            [&](const KeyNation& e) { return e.key == ck; });
-        if (c == nullptr) continue;
-        const int32_t sk = lo_suppkey[i];
-        if (ht_supp.Lookup(HashCrc32(static_cast<uint32_t>(sk)),
-                           [&](const KeyOnly& e) { return e.key == sk; }) ==
-            nullptr) {
-          continue;
-        }
-        const int32_t pk = lo_partkey[i];
-        if (ht_part.Lookup(HashCrc32(static_cast<uint32_t>(pk)),
-                           [&](const KeyOnly& e) { return e.key == pk; }) ==
-            nullptr) {
-          continue;
-        }
-        const int32_t dk = lo_orderdate[i];
-        const DateEntry* d = ht_date.Lookup(
-            HashCrc32(static_cast<uint32_t>(dk)),
-            [&](const DateEntry& e) { return e.datekey == dk; });
-        const int64_t profit = lo_revenue[i] - lo_supplycost[i];
-        const uint64_t gh = HashCrc32(
-            runtime::HashBytes(c->nation.data, 15) ^
-            static_cast<uint32_t>(d->year));
-        Q41Group* g = local.FindOrCreate(
-            gh,
-            [&](const Q41Group& e) {
-              return e.year == d->year && e.c_nation == c->nation;
-            },
-            [&](Q41Group* e) {
-              e->year = d->year;
-              e->c_nation = c->nation;
-              e->profit = 0;
-            });
-        g->profit += profit;
-      }
-    }
-  });
-
-  auto merged = MergeLocalGroups(locals, opt);
-  std::vector<Q41Group*>& groups = merged.groups;
-  // Serial tail: surface a trip (deadline, budget, injected fault) that
-  // landed during or after the parallel phase instead of sorting and
-  // building a result nobody will see.
-  if (Stop(opt)) return QueryResult::Failed(opt.cancel->status());
-  std::sort(groups.begin(), groups.end(), [](Q41Group* a, Q41Group* b) {
-    if (a->year != b->year) return a->year < b->year;
-    return a->c_nation < b->c_nation;
-  });
-  ResultBuilder rb({"d_year", "c_nation", "profit"});
-  for (const Q41Group* g : groups)
-    rb.BeginRow().Int(g->year).Str(g->c_nation.View()).Numeric(g->profit, 2);
-  return rb.Finish();
+  return Finish(
+      opt, {"d_year", "c_nation", "profit"}, merged.groups,
+      [](const Q41Group* a, const Q41Group* b) {
+        return std::tie(a->key.year, a->key.c_nation) <
+               std::tie(b->key.year, b->key.c_nation);
+      },
+      [](ResultBuilder& row, const Q41Group* g) {
+        row.Int(g->key.year).Str(g->key.c_nation.View()).Numeric(g->profit, 2);
+      });
 }
 
 }  // namespace vcq::typer

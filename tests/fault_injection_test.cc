@@ -261,19 +261,51 @@ TEST(FaultSweepTest, EveryPointBothEnginesFirstLastRandomHitDrainsClean) {
 TEST(FaultSweepTest, InjectedCancelSurfacesAsCancelled) {
   // kCancel models a user cancel landing at exactly the site: distinct
   // status from the allocation-failure path, same drain-clean guarantees.
-  const Database& db = TpchDb();
-  Session session(db);
-  for (Engine engine : {Engine::kTyper, Engine::kTectorwise}) {
+  // Q3 on both engines at the join build; then every catalog query on
+  // Typer at its first and last "scan.morsel" poll. Typer polls before
+  // each morsel claim and once more in its result tail, so a cancel at
+  // the first poll stops the first region before any work, and one at the
+  // last lands in the tail after every region drained.
+  {
+    Session session(TpchDb());
+    for (Engine engine : {Engine::kTyper, Engine::kTectorwise}) {
+      QueryOptions clean_opt;
+      clean_opt.threads = 1;
+      PreparedQuery clean = session.Prepare(engine, Query::kQ3, clean_opt);
+      const QueryResult expected = clean.Execute();
+      ASSERT_TRUE(expected.ok());
+      for (size_t threads : {size_t{1}, size_t{8}}) {
+        SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
+                     std::to_string(threads));
+        RunArmed(session, engine, Query::kQ3, threads, "join_build.size",
+                 FaultSpec{FaultAction::kCancel, 1}, expected, clean);
+      }
+    }
+  }
+  for (const QueryInfo& info : QueryCatalog()) {
+    Session session(info.workload == Workload::kTpch ? TpchDb() : SsbDb());
     QueryOptions clean_opt;
     clean_opt.threads = 1;
-    PreparedQuery clean = session.Prepare(engine, Query::kQ3, clean_opt);
+    PreparedQuery clean =
+        session.Prepare(Engine::kTyper, info.query, clean_opt);
     const QueryResult expected = clean.Execute();
-    ASSERT_TRUE(expected.ok());
+    ASSERT_TRUE(expected.ok()) << info.name;
     for (size_t threads : {size_t{1}, size_t{8}}) {
-      SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
-                   std::to_string(threads));
-      RunArmed(session, engine, Query::kQ3, threads, "join_build.size",
-               FaultSpec{FaultAction::kCancel, 1}, expected, clean);
+      FaultInjector counter;
+      QueryOptions opt;
+      opt.threads = threads;
+      opt.fault = &counter;
+      PreparedQuery probe = session.Prepare(Engine::kTyper, info.query, opt);
+      ASSERT_EQ(probe.Execute(), expected) << info.name;
+      const uint64_t hits = counter.HitCount("scan.morsel");
+      ASSERT_GT(hits, 0u) << info.name;
+      for (const uint64_t ordinal : {uint64_t{1}, hits}) {
+        SCOPED_TRACE(info.name + " threads=" + std::to_string(threads) +
+                     " hit=" + std::to_string(ordinal) + "/" +
+                     std::to_string(hits));
+        RunArmed(session, Engine::kTyper, info.query, threads, "scan.morsel",
+                 FaultSpec{FaultAction::kCancel, ordinal}, expected, clean);
+      }
     }
   }
 }

@@ -1,4 +1,4 @@
-#include "typer/group_table.h"
+#include "typer/pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -20,9 +20,9 @@
 #include "runtime/spill.h"
 #include "runtime/worker_pool.h"
 
-// Typer's bounded group table and the shared pre-aggregation core
-// (runtime/pre_aggregation.h) on inputs whose group count is far above
-// the local table's capacity, so every worker flushes many times before
+// The Typer kit's GroupBy (typer/pipeline.h) with its bounded local group
+// tables, and the shared pre-aggregation core (runtime/pre_aggregation.h),
+// on inputs whose group count is far above the local table's capacity, so every worker flushes many times before
 // the merge: results must equal a std::map reference in every key order
 // and thread count, the local directory never grows, and a spilled run
 // equals the in-memory one with every resource back at its baseline.
@@ -39,7 +39,6 @@ struct Group {
   int64_t sum;
   int64_t count;
 
-  bool KeyEquals(const Group& o) const { return key == o.key; }
   void Combine(const Group& o) {
     sum += o.sum;
     count += o.count;
@@ -73,32 +72,20 @@ Result Reference(const std::vector<int64_t>& keys) {
 }
 
 /// Morsel-parallel aggregation of `keys` (value = row index % 1000)
-/// through LocalGroupTable + MergeLocalGroups. `peak_live` receives the
-/// largest local directory occupancy any worker reached.
-Result Aggregate(const std::vector<int64_t>& keys, const QueryOptions& opt,
+/// through the kit's GroupBy. `peak_live` receives the largest local
+/// directory occupancy any worker reached, `flushed` the rows the merge
+/// read.
+Result Aggregate(const std::vector<int64_t>& keys, QueryOptions opt,
                  size_t* peak_live = nullptr, size_t* flushed = nullptr) {
-  std::vector<std::unique_ptr<LocalGroupTable<Group>>> locals(opt.threads);
-  runtime::MorselQueue morsels(keys.size(), 4096);
-  runtime::PoolFor(opt).Run(opt, keys.size(), [&](size_t wid) {
-    locals[wid] = std::make_unique<LocalGroupTable<Group>>(opt);
-    size_t begin, end;
-    while (morsels.Next(begin, end)) {
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t key = keys[i];
-        Group* g = locals[wid]->FindOrCreate(
-            runtime::HashCrc32(static_cast<uint64_t>(key)),
-            [&](const Group& e) { return e.key == key; },
-            [&](Group* e) {
-              e->key = key;
-              e->sum = e->count = 0;
-            });
+  opt.morsel_grain = 4096;
+  MergedGroups<Group> merged =
+      GroupBy<Group>(opt, keys.size(), [&](size_t i, auto& local) {
+        Group* g = local.At(keys[i]);
         g->sum += static_cast<int64_t>(i % 1000);
         g->count += 1;
-      }
-    }
-  });
+      });
   std::vector<runtime::LocalGroups*> tables;
-  for (const auto& local : locals) {
+  for (const auto& local : merged.locals) {
     EXPECT_EQ(local->groups().directory().capacity(),
               2 * kLocalGroupCapacity)
         << "the local directory is fixed-size";
@@ -107,7 +94,6 @@ Result Aggregate(const std::vector<int64_t>& keys, const QueryOptions& opt,
     tables.push_back(&local->groups());
   }
   if (flushed != nullptr) *flushed = runtime::FlushedRows(tables);
-  MergedGroups<Group> merged = MergeLocalGroups(locals, opt);
   Result out;
   for (const Group* g : merged.groups)
     out.emplace_back(g->key, g->sum, g->count);

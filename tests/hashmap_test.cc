@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -16,7 +17,7 @@
 #include "runtime/resource_governor.h"
 #include "runtime/spill.h"
 #include "runtime/worker_pool.h"
-#include "typer/join_table.h"
+#include "typer/pipeline.h"
 
 namespace vcq::runtime {
 namespace {
@@ -327,16 +328,6 @@ TEST_P(JoinBuildTest, EngineReleasesMaterializeMemoryAndChargesTheArena) {
   // exactly the directory plus the entry arena, until the table dies.
   const size_t threads = GetParam();
   constexpr size_t kEntries = 200000;
-  const auto produce = [threads](size_t wid, auto emit) {
-    for (size_t i = wid; i < kEntries; i += threads) {
-      TestEntry e;
-      e.header.next = nullptr;
-      e.header.hash = HashMurmur2(static_cast<uint64_t>(i));
-      e.key = static_cast<int64_t>(i);
-      e.value = static_cast<int64_t>(i) * 3;
-      emit(e);
-    }
-  };
 
   QueryLedger ledger(0, nullptr);
   QueryOptions opt;
@@ -345,21 +336,50 @@ TEST_P(JoinBuildTest, EngineReleasesMaterializeMemoryAndChargesTheArena) {
   const size_t before = MemPool::live_bytes();
   {
     typer::JoinTable<TestEntry> table(opt);
-    table.Build(produce);
+    table.Build(kEntries, [](size_t i, auto& emit) {
+      emit(static_cast<int64_t>(i), static_cast<int64_t>(i) * 3);
+    });
     EXPECT_EQ(MemPool::live_bytes(), before)
         << "the build must release its materialize-phase chunks";
     EXPECT_EQ(ledger.in_use(), table.ht.capacity() * sizeof(uintptr_t) +
                                    kEntries * sizeof(TestEntry));
     EXPECT_EQ(table.size(), kEntries);
     for (int64_t key : {int64_t{0}, int64_t{12345}, int64_t{199999}}) {
-      const TestEntry* e = table.Lookup(
-          HashMurmur2(static_cast<uint64_t>(key)),
-          [&](const TestEntry& t) { return t.key == key; });
+      const TestEntry* e = table.Find(key);
       ASSERT_NE(e, nullptr) << "key " << key;
+      EXPECT_EQ(e->header.hash, typer::KeyHash(key));
       EXPECT_EQ(e->value, key * 3);
     }
+    EXPECT_EQ(table.Find(int64_t{kEntries}), nullptr);
   }
   EXPECT_EQ(ledger.in_use(), 0u);
+}
+
+TEST_P(JoinBuildTest, EngineBuildsEmptyAndSubMorselInputs) {
+  // Build sides smaller than one morsel leave most workers without a
+  // claim: an empty input builds an empty table, and a 100-row input
+  // (one morsel of the default 16384-row grain) finds every key.
+  const size_t threads = GetParam();
+  for (const size_t rows : {size_t{0}, size_t{100}}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    QueryOptions opt;
+    opt.threads = threads;
+    const size_t before = MemPool::live_bytes();
+    {
+      typer::JoinTable<TestEntry> table(opt);
+      table.Build(rows, [](size_t i, auto& emit) {
+        emit(static_cast<int64_t>(i) * 7, static_cast<int64_t>(i));
+      });
+      EXPECT_EQ(table.size(), rows);
+      for (size_t i = 0; i < rows; ++i) {
+        const TestEntry* e = table.Find(static_cast<int64_t>(i) * 7);
+        ASSERT_NE(e, nullptr) << "row " << i;
+        EXPECT_EQ(e->value, static_cast<int64_t>(i));
+      }
+      EXPECT_EQ(table.Find(int64_t{1}), nullptr);
+    }
+    EXPECT_EQ(MemPool::live_bytes(), before);
+  }
 }
 
 // 7 exercises uneven segment splits and CAS contention on one directory.

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
-#include "typer/selection.h"
+#include "typer/pipeline.h"
 
 // typer::ForEachSelected (the branch-free selection stage ahead of a Typer
 // probe) must visit exactly the rows a plain `if (pred(i)) body(i)` loop
-// visits, in the same order, for any range and any selectivity.
+// visits, in the same order, for any range and any selectivity — on its
+// own and as the filter step of the kit's GroupBy.
 
 namespace vcq::typer {
 namespace {
@@ -90,6 +93,54 @@ TEST(ForEachSelectedTest, PredicateSeesEveryRowOnce) {
       [](size_t) {});
   for (size_t i = 0; i < r.end; ++i)
     EXPECT_EQ(seen[i], i >= r.begin ? 1 : 0) << "row " << i;
+}
+
+struct RowGroup {
+  runtime::Hashmap::EntryHeader header;
+  int64_t key;
+  int64_t rows;
+
+  void Combine(const RowGroup& o) { rows += o.rows; }
+};
+
+TEST(FilteredGroupByTest, VisitsPassingRowsInOrderAndPredicateOncePerRow) {
+  // Morsels of 1000 rows start off the selection-block boundary; the last
+  // one ends mid-block.
+  const size_t n = 10 * kSelectBlock + 77;
+  const std::vector<uint8_t> pass = Pattern(n, 0.13);
+  const std::vector<size_t> expected = PlainLoop(0, n, pass);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    runtime::QueryOptions opt;
+    opt.threads = threads;
+    opt.morsel_grain = 1000;
+    std::vector<std::atomic<int>> evaluated(n);
+    std::vector<std::atomic<int>> visited(n);
+    std::vector<size_t> order;  // visit order, read at one thread
+    MergedGroups<RowGroup> merged = GroupBy<RowGroup>(
+        opt, n,
+        [&](size_t i) {
+          ++evaluated[i];
+          return pass[i] != 0;
+        },
+        [&](size_t i, auto& local) {
+          ++visited[i];
+          if (threads == 1) order.push_back(i);
+          local.At(static_cast<int64_t>(i % 7))->rows += 1;
+        });
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(evaluated[i].load(), 1) << "row " << i;
+      EXPECT_EQ(visited[i].load(), pass[i]) << "row " << i;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(order, expected);
+    }
+    std::vector<int64_t> per_key(7, 0);
+    for (const size_t i : expected) ++per_key[i % 7];
+    ASSERT_EQ(merged.groups.size(), 7u);
+    for (const RowGroup* g : merged.groups)
+      EXPECT_EQ(g->rows, per_key[static_cast<size_t>(g->key)]) << g->key;
+  }
 }
 
 }  // namespace
